@@ -18,8 +18,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,17 +38,7 @@ from .evolution import evolve_moments, mandel_q, quadrature_variances
 from .nonclassicality import closed_form_transition_time, tau_profile, transition_time
 from .plotting import write_figures
 from .reservoir import PhysicalReservoirSpec, ReservoirParams, from_physical
-from .states import (
-    Cat,
-    Coherent,
-    MomentTable,
-    PhotonAddedCoherent,
-    PhotonAddedThermal,
-    SqueezedCoherent,
-    StateSpec,
-    Thermal,
-    initial_moments,
-)
+from .states import MomentTable, StateSpec, initial_moments
 
 CSV_HEADER = (
     "gamma_t,re_mean_a,im_mean_a,n_mean,mandel_q,var_x,var_y,tau_m_raw,tau_m"
@@ -128,29 +118,26 @@ def _complex_field(obj: dict, key: str, where: str) -> complex:
     raise ConfigError(f"{where}.{key}: expected a number or [re, im], got {v!r}")
 
 
+# config kind -> (class, fields, field types): a family's config keys are
+# the fields of its dataclass
+_STATE_KINDS = {
+    cls.kind: (cls, fields(cls), get_type_hints(cls)) for cls in get_args(StateSpec)
+}
+
+
 def parse_state(obj) -> StateSpec:
     if not isinstance(obj, dict):
         raise ConfigError("state: expected an object")
     kind = obj.get("kind")
-    if kind == "coherent":
-        return Coherent(gamma=_complex_field(obj, "gamma", "state"))
-    if kind == "thermal":
-        return Thermal(nbar=_num(obj, "nbar", "state"))
-    if kind == "squeezed_coherent":
-        return SqueezedCoherent(
-            gamma=_complex_field(obj, "gamma", "state"),
-            mu=_num(obj, "mu", "state"),
-        )
-    if kind == "photon_added_coherent":
-        return PhotonAddedCoherent(gamma=_complex_field(obj, "gamma", "state"))
-    if kind == "photon_added_thermal":
-        return PhotonAddedThermal(nbar=_num(obj, "nbar", "state"))
-    if kind == "cat":
-        return Cat(
-            gamma=_complex_field(obj, "gamma", "state"),
-            phi=_num(obj, "phi", "state", default=0.0),
-        )
-    raise ConfigError(f"state.kind: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
+        raise ConfigError(f"state.kind: unknown kind {kind!r}")
+    cls, cls_fields, types = _STATE_KINDS[kind]
+    args = {}
+    for f in cls_fields:
+        if f.name in obj or f.default is MISSING:
+            read = _complex_field if types[f.name] is complex else _num
+            args[f.name] = read(obj, f.name, "state")
+    return cls(**args)
 
 
 def parse_reservoir(obj) -> ReservoirParams:
@@ -285,17 +272,11 @@ def _csv_row(cfg: RunConfig, m0: MomentTable, gt: float) -> str:
     return ",".join(cells)
 
 
-def cmd_evolve(cfg: RunConfig, out, parallel: bool = False) -> int:
+def cmd_evolve(cfg: RunConfig, out) -> int:
     m0 = initial_moments(cfg.state)
-    gts = cfg.time_grid.points()
     out.write(CSV_HEADER + "\n")
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda gt: _csv_row(cfg, m0, gt), gts))
-    else:
-        rows = [_csv_row(cfg, m0, gt) for gt in gts]
-    for row in rows:
-        out.write(row + "\n")
+    for gt in cfg.time_grid.points():
+        out.write(_csv_row(cfg, m0, gt) + "\n")
     return 0
 
 
@@ -388,6 +369,9 @@ def cmd_validate(cfg: RunConfig, out) -> int:
 # entry point
 
 
+_PARALLEL_HELP = "accepted for compatibility; has no effect (work runs serially)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sqbath",
@@ -399,8 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("evolve", help="write a time-series CSV")
     pe.add_argument("--config", required=True, help="JSON config path")
     pe.add_argument("--out", help="output CSV path (default stdout)")
-    pe.add_argument("--parallel", action="store_true",
-                    help="evaluate grid points concurrently")
+    pe.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     pt = sub.add_parser("transition-time", help="report the depth zero crossing")
     pt.add_argument("--config", required=True, help="JSON config path")
@@ -414,8 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="force-enable the oracle")
     pv.add_argument("--dim", type=int, help="override truncation dimension")
     pv.add_argument("--dt", type=float, help="override integrator step")
-    pv.add_argument("--parallel", action="store_true",
-                    help="accepted for symmetry; validation is sequential")
+    pv.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
     return p
 
 
@@ -424,8 +406,8 @@ def _run(args) -> int:
         cfg = load_config(args.config)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                return cmd_evolve(cfg, fh, parallel=args.parallel)
-        return cmd_evolve(cfg, sys.stdout, parallel=args.parallel)
+                return cmd_evolve(cfg, fh)
+        return cmd_evolve(cfg, sys.stdout)
 
     if args.command == "transition-time":
         cfg = load_config(args.config, need_grid=False)
@@ -440,23 +422,16 @@ def _run(args) -> int:
         cfg = load_config(args.config)
         oracle = cfg.oracle
         if args.oracle:
-            oracle = OracleConfig(enabled=True, dim=oracle.dim, dt=oracle.dt)
+            oracle = replace(oracle, enabled=True)
         if args.dim is not None:
             if args.dim < 2:
                 raise ConfigError(f"--dim must be >= 2, got {args.dim}")
-            oracle = OracleConfig(enabled=oracle.enabled, dim=args.dim, dt=oracle.dt)
+            oracle = replace(oracle, dim=args.dim)
         if args.dt is not None:
             if args.dt <= 0.0:
                 raise ConfigError(f"--dt must be > 0, got {args.dt}")
-            oracle = OracleConfig(enabled=oracle.enabled, dim=oracle.dim, dt=args.dt)
-        cfg = RunConfig(
-            state=cfg.state,
-            reservoir=cfg.reservoir,
-            time_grid=cfg.time_grid,
-            outputs=cfg.outputs,
-            oracle=oracle,
-        )
-        return cmd_validate(cfg, sys.stdout)
+            oracle = replace(oracle, dt=args.dt)
+        return cmd_validate(replace(cfg, oracle=oracle), sys.stdout)
 
     raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
 

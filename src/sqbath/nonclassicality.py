@@ -4,18 +4,11 @@ one-parameter family of smoothed phase-space densities.
 The depth tau_m(t) is the smallest Gaussian smoothing width (in the
 convention where 1 recovers the Husimi density from the diagonal weight)
 that renders the evolved weight pointwise nonnegative.  For the catalogue
-states it has closed forms in u = e^{-2 Gamma t}:
-
-    coherent            |M_t| - N_t
-    thermal             |M_t| - (N_t + nbar u)
-    squeezed coherent   max of the two quadrature branches
-    photon-added coh.   u/2 + sqrt(u^2/4 + M_t^2) - N_t
-    cat                 identical to the photon-added coherent row
-    photon-added therm. (nbar+1)u/2 + sqrt(((nbar+1)u/2)^2 + M_t^2)
-                        - (N_t + nbar u)
-
-clamped below at zero.  The raw (unclamped) profile is what crosses zero
-at the classicality transition.
+states it has closed forms in u = e^{-2 Gamma t}; the per-family rows are
+defined on the state classes in ``states`` (``depth``, with the candidate
+zero crossings in ``crossing_roots``), and this module clamps them below
+at zero.  The raw (unclamped) profile is what crosses zero at the
+classicality transition.
 """
 from __future__ import annotations
 
@@ -27,17 +20,7 @@ import numpy as np
 from .errors import ConfigError, ImmediateTransition, SingularSmoothing, UnsupportedDescriptor
 from .evolution import evolved_descriptor
 from .reservoir import ReservoirParams, mt, nt
-from .states import (
-    AddedCoherentPoly,
-    Cat,
-    Coherent,
-    FieldLaplacian,
-    PhotonAddedCoherent,
-    PhotonAddedThermal,
-    SqueezedCoherent,
-    StateSpec,
-    Thermal,
-)
+from .states import AddedCoherentPoly, FieldLaplacian, StateSpec
 
 # Profiles are bracketed for sign changes on the scaled window (0, T_MAX].
 T_MAX_SCALED = 50.0
@@ -59,28 +42,7 @@ def tau_raw(state: StateSpec, res: ReservoirParams, t: float) -> float:
     if t < 0.0:
         raise ConfigError(f"time must be >= 0, got {t}")
     u = math.exp(-2.0 * res.gamma * t)
-    n_t, m_t = nt(res, t), mt(res, t)
-
-    if isinstance(state, Coherent):
-        return abs(m_t) - n_t
-
-    if isinstance(state, Thermal):
-        return abs(m_t) - (n_t + state.nbar * u)
-
-    if isinstance(state, SqueezedCoherent):
-        s = state.s
-        branch_x = -(n_t + m_t - (s - 1.0) / (2.0 * s) * u)
-        branch_y = -(n_t - m_t + (s - 1.0) / 2.0 * u)
-        return max(branch_x, branch_y)
-
-    if isinstance(state, (PhotonAddedCoherent, Cat)):
-        return u / 2.0 + math.hypot(u / 2.0, m_t) - n_t
-
-    if isinstance(state, PhotonAddedThermal):
-        half = (state.nbar + 1.0) * u / 2.0
-        return half + math.hypot(half, m_t) - (n_t + state.nbar * u)
-
-    raise ConfigError(f"unknown state kind: {type(state).__name__}")
+    return state.depth(u, nt(res, t), mt(res, t))
 
 
 def tau_m(state: StateSpec, res: ReservoirParams, t: float) -> float:
@@ -111,7 +73,10 @@ def gaussian_tau_from_covariance(min_variance: float) -> float:
 def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
     """Smallest t > 0 where the raw profile crosses zero.
 
-    Returns None when no sign change exists on (0, 50/Gamma]. Raises
+    Returns None when no sign change exists on (0, 50/Gamma]; a value of
+    exactly zero is a crossing only where the nearest nonzero values on
+    its two sides have opposite signs, so a profile that is identically
+    zero (or underflows to zero) has no crossing. Raises
     ImmediateTransition when the profile leaves zero into the
     nonclassical side at t = 0+ and never crosses back (a coherent state
     under a squeezing-dominated reservoir).  Bisection is carried to
@@ -126,12 +91,16 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
     vals = [raw_scaled(g) for g in gts]
 
     bracket = None
-    for i in range(len(gts) - 1):
-        if vals[i] == 0.0 and gts[i] > 1e-8:
-            return gts[i] / gamma
-        if vals[i] * vals[i + 1] < 0.0:
-            bracket = (gts[i], gts[i + 1])
+    last = None  # index of the latest nonzero value
+    for i, val in enumerate(vals):
+        if val == 0.0:
+            continue
+        if last is not None and vals[last] * val < 0.0:
+            if i > last + 1:  # exact zeros between the two signs
+                return gts[last + 1] / gamma
+            bracket = (gts[last], gts[i])
             break
+        last = i
 
     if bracket is None:
         raw0 = raw_scaled(0.0)
@@ -171,80 +140,14 @@ def closed_form_transition_time(
     Returns None when no valid root exists (including the immediate-
     transition situation, which has no finite crossing).
     """
-    n_cap, m_abs = res.N, abs(res.M)
-
-    def check(u: float, rhs_ok: bool = True) -> bool:
-        if not (0.0 < u < 1.0) or not rhs_ok:
-            return False
-        t = _root_from_u(u, res.gamma)
-        return abs(tau_raw(state, res, t)) < 1e-9
-
-    if isinstance(state, Coherent):
-        return None
-
-    if isinstance(state, Thermal):
-        if m_abs <= n_cap or state.nbar == 0.0:
-            return None
-        u = (m_abs - n_cap) / (m_abs - n_cap + state.nbar)
-        return _root_from_u(u, res.gamma) if check(u) else None
-
-    if isinstance(state, SqueezedCoherent):
-        s = state.s
-        n, m = res.N, res.M
-        # branch slopes/intercepts in u: f(u) = slope*u - intercept
-        branches = (
-            (n + m + (s - 1.0) / (2.0 * s), n + m),
-            (n - m - (s - 1.0) / 2.0, n - m),
-        )
-        candidates = []
-        for i, (slope, intercept) in enumerate(branches):
-            if slope == 0.0:
-                continue
-            u = intercept / slope
-            if not (0.0 < u < 1.0):
-                continue
-            other_slope, other_intercept = branches[1 - i]
-            if other_slope * u - other_intercept <= 1e-12 and check(u):
-                candidates.append(u)
-        if not candidates:
-            return None
-        return _root_from_u(max(candidates), res.gamma)
-
-    if isinstance(state, (PhotonAddedCoherent, Cat)):
-        m2, n = res.M * res.M, res.N
-        denom = n + n * n - m2
-        if denom <= 0.0 or n * n <= m2:
-            return None
-        u = (n * n - m2) / denom
-        rhs_ok = n * (1.0 - u) - u / 2.0 >= 0.0
-        return _root_from_u(u, res.gamma) if check(u, rhs_ok) else None
-
-    if isinstance(state, PhotonAddedThermal):
-        nb, n, m2 = state.nbar, res.N, res.M * res.M
-        # (m2 - n^2)(1-u)^2 - n(nb-1) u (1-u) + nb u^2 = 0
-        a = (m2 - n * n) + n * (nb - 1.0) + nb
-        b = -2.0 * (m2 - n * n) - n * (nb - 1.0)
-        c = m2 - n * n
-        roots: list[float] = []
-        if abs(a) < 1e-300:
-            if b != 0.0:
-                roots.append(-c / b)
-        else:
-            disc = b * b - 4.0 * a * c
-            if disc < 0.0:
-                return None
-            sq = math.sqrt(disc)
-            roots.extend(((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)))
-        candidates = []
-        for u in roots:
-            rhs_ok = n * (1.0 - u) + u * (nb - 1.0) / 2.0 >= 0.0
-            if check(u, rhs_ok):
-                candidates.append(u)
-        if not candidates:
-            return None
-        return _root_from_u(max(candidates), res.gamma)
-
-    raise ConfigError(f"unknown state kind: {type(state).__name__}")
+    valid = [
+        u
+        for u, sign_ok in state.crossing_roots(res.N, res.M)
+        if 0.0 < u < 1.0
+        and sign_ok
+        and abs(tau_raw(state, res, _root_from_u(u, res.gamma))) < 1e-9
+    ]
+    return _root_from_u(max(valid), res.gamma) if valid else None
 
 
 # ---------------------------------------------------------------------------

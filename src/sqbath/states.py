@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -34,23 +34,69 @@ MAX_ORDER = 4
 
 # ---------------------------------------------------------------------------
 # state catalogue
+#
+# Each family is one frozen dataclass that carries all of its analytic
+# pieces; the module functions below and ``nonclassicality`` only call them.
+#
+#   kind                 config key of the family
+#   moments()            exact moment table at t = 0
+#   descriptor()         exact diagonal-weight descriptor at t = 0
+#   depth(u, n_t, m_t)   raw depth profile in u = e^{-2 Gamma t}, with
+#                        N_t = N (1 - u), M_t = M (1 - u)
+#   crossing_roots(N, M) candidate roots u of depth = 0, each paired with
+#                        the sign condition lost when squaring
 
 
 @dataclass(frozen=True)
 class Coherent:
+    kind: ClassVar[str] = "coherent"
+
     gamma: complex
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", complex(self.gamma))
 
+    def moments(self) -> MomentTable:
+        return gaussian_moment_table(self.gamma, 0.0, 0.0)
+
+    def descriptor(self) -> PDescriptor:
+        return PDescriptor((DescriptorTerm(1.0, self.gamma, 0.0, 0.0),))
+
+    def depth(self, u: float, n_t: float, m_t: float) -> float:
+        """|M_t| - N_t."""
+        return abs(m_t) - n_t
+
+    def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
+        # (|M| - N)(1 - u) keeps one sign for all t > 0
+        return []
+
 
 @dataclass(frozen=True)
 class Thermal:
+    kind: ClassVar[str] = "thermal"
+
     nbar: float
 
     def __post_init__(self) -> None:
         if not (self.nbar >= 0.0):
             raise ConfigError(f"thermal nbar must be >= 0, got {self.nbar}")
+
+    def moments(self) -> MomentTable:
+        return gaussian_moment_table(0.0, self.nbar / 2.0, self.nbar / 2.0)
+
+    def descriptor(self) -> PDescriptor:
+        c = self.nbar / 4.0
+        return PDescriptor((DescriptorTerm(1.0, 0.0, c, c),))
+
+    def depth(self, u: float, n_t: float, m_t: float) -> float:
+        """|M_t| - (N_t + nbar u)."""
+        return abs(m_t) - (n_t + self.nbar * u)
+
+    def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
+        m_abs = abs(M)
+        if m_abs <= N or self.nbar == 0.0:
+            return []
+        return [((m_abs - N) / (m_abs - N + self.nbar), True)]
 
 
 @dataclass(frozen=True)
@@ -60,6 +106,8 @@ class SqueezedCoherent:
     The convenience scale s = e^{2 mu} is the factor by which the two
     quadrature variances split: var_x = 1/(4s), var_y = s/4 at t = 0.
     """
+
+    kind: ClassVar[str] = "squeezed_coherent"
 
     gamma: complex
     mu: float
@@ -71,21 +119,85 @@ class SqueezedCoherent:
     def s(self) -> float:
         return math.exp(2.0 * self.mu)
 
+    def moments(self) -> MomentTable:
+        s = self.s
+        return gaussian_moment_table(self.gamma, (1.0 - s) / (4.0 * s), (s - 1.0) / 4.0)
+
+    def descriptor(self) -> PDescriptor:
+        s = self.s
+        return PDescriptor(
+            (DescriptorTerm(1.0, self.gamma, (1.0 - s) / (8.0 * s), -(1.0 - s) / 8.0),)
+        )
+
+    def depth(self, u: float, n_t: float, m_t: float) -> float:
+        """Max of the two quadrature branches
+        -(N_t + M_t - (s-1)/(2s) u) and -(N_t - M_t + (s-1)/2 u)."""
+        s = self.s
+        branch_x = -(n_t + m_t - (s - 1.0) / (2.0 * s) * u)
+        branch_y = -(n_t - m_t + (s - 1.0) / 2.0 * u)
+        return max(branch_x, branch_y)
+
+    def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
+        # each branch is slope*u - intercept; its root is a root of their
+        # max only where the other branch is not above zero
+        s = self.s
+        branches = (
+            (N + M + (s - 1.0) / (2.0 * s), N + M),
+            (N - M - (s - 1.0) / 2.0, N - M),
+        )
+        roots = []
+        for (slope, intercept), (other_slope, other_intercept) in zip(
+            branches, branches[::-1]
+        ):
+            if slope != 0.0:
+                u = intercept / slope
+                roots.append((u, other_slope * u - other_intercept <= 1e-12))
+        return roots
+
 
 @dataclass(frozen=True)
 class PhotonAddedCoherent:
     """Normalized a^dag |gamma> / sqrt(|gamma|^2 + 1)."""
+
+    kind: ClassVar[str] = "photon_added_coherent"
 
     gamma: complex
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", complex(self.gamma))
 
+    def moments(self) -> MomentTable:
+        g, gc = self.gamma, np.conj(self.gamma)
+
+        def coherent_base(j: int, k: int) -> complex:
+            return gc**j * g**k
+
+        return MomentTable.build(lambda j, k: _added_photon_entry(coherent_base, j, k))
+
+    def descriptor(self) -> PDescriptor:
+        return PDescriptor(
+            (DescriptorTerm(1.0, self.gamma, 0.0, 0.0, AddedCoherentPoly(self.gamma)),)
+        )
+
+    def depth(self, u: float, n_t: float, m_t: float) -> float:
+        """u/2 + sqrt(u^2/4 + M_t^2) - N_t, free of the amplitude."""
+        return u / 2.0 + math.hypot(u / 2.0, m_t) - n_t
+
+    def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
+        m2 = M * M
+        denom = N + N * N - m2
+        if denom <= 0.0 or N * N <= m2:
+            return []
+        u = (N * N - m2) / denom
+        return [(u, N * (1.0 - u) - u / 2.0 >= 0.0)]
+
 
 @dataclass(frozen=True)
 class PhotonAddedThermal:
     """Normalized a^dag rho_thermal a / (nbar + 1); requires nbar > 0
     (the phase-space prefactor is singular at nbar = 0)."""
+
+    kind: ClassVar[str] = "photon_added_thermal"
 
     nbar: float
 
@@ -95,13 +207,50 @@ class PhotonAddedThermal:
                 f"photon-added thermal requires nbar > 0, got {self.nbar}"
             )
 
+    def moments(self) -> MomentTable:
+        nb = self.nbar
+
+        def thermal_base(j: int, k: int) -> complex:
+            return factorial(j) * nb**j if j == k else 0.0
+
+        return MomentTable.build(lambda j, k: _added_photon_entry(thermal_base, j, k))
+
+    def descriptor(self) -> PDescriptor:
+        c = self.nbar / 4.0
+        return PDescriptor(
+            (DescriptorTerm(1.0, 0.0, c, c, FieldLaplacian((self.nbar + 1.0) / 4.0)),)
+        )
+
+    def depth(self, u: float, n_t: float, m_t: float) -> float:
+        """(nbar+1)u/2 + sqrt(((nbar+1)u/2)^2 + M_t^2) - (N_t + nbar u)."""
+        half = (self.nbar + 1.0) * u / 2.0
+        return half + math.hypot(half, m_t) - (n_t + self.nbar * u)
+
+    def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
+        nb, m2 = self.nbar, M * M
+        # (m2 - N^2)(1-u)^2 - N(nb-1) u (1-u) + nb u^2 = 0
+        a = (m2 - N * N) + N * (nb - 1.0) + nb
+        b = -2.0 * (m2 - N * N) - N * (nb - 1.0)
+        c = m2 - N * N
+        if abs(a) < 1e-300:
+            roots = [-c / b] if b != 0.0 else []
+        else:
+            disc = b * b - 4.0 * a * c
+            if disc < 0.0:
+                return []
+            sq = math.sqrt(disc)
+            roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+        return [(u, N * (1.0 - u) + u * (nb - 1.0) / 2.0 >= 0.0) for u in roots]
+
 
 @dataclass(frozen=True)
 class Cat:
     """(|gamma> + e^{i phi} |-gamma>) / sqrt(2 (1 + e^{-2|gamma|^2} cos phi))."""
 
+    kind: ClassVar[str] = "cat"
+
     gamma: complex
-    phi: float
+    phi: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", complex(self.gamma))
@@ -115,6 +264,34 @@ class Cat:
     @property
     def norm_factor(self) -> float:
         return 1.0 + math.exp(-2.0 * abs(self.gamma) ** 2) * math.cos(self.phi)
+
+    def moments(self) -> MomentTable:
+        g, gc = self.gamma, np.conj(self.gamma)
+        olap = math.exp(-2.0 * abs(g) ** 2)
+        norm = 2.0 * self.norm_factor
+        eip = complex(math.cos(self.phi), math.sin(self.phi))
+
+        def entry(j: int, k: int) -> complex:
+            branch = 1.0 + (-1.0) ** (j + k)
+            cross = olap * (eip * (-1.0) ** k + np.conj(eip) * (-1.0) ** j)
+            return gc**j * g**k * (branch + cross) / norm
+
+        return MomentTable.build(entry)
+
+    def descriptor(self) -> PDescriptor:
+        w = 1.0 / (2.0 * self.norm_factor)
+        olap = math.exp(-2.0 * abs(self.gamma) ** 2)
+        return PDescriptor(
+            (
+                DescriptorTerm(w, self.gamma, 0.0, 0.0),
+                DescriptorTerm(w, -self.gamma, 0.0, 0.0),
+            ),
+            interference=CatInterference(2.0 * w * olap, self.phi, self.gamma),
+        )
+
+    # the depth profile is the photon-added coherent one, term for term
+    depth = PhotonAddedCoherent.depth
+    crossing_roots = PhotonAddedCoherent.crossing_roots
 
 
 StateSpec = Union[
@@ -277,52 +454,7 @@ def _added_photon_entry(base: Callable[[int, int], complex], j: int, k: int) -> 
 
 def initial_moments(state: StateSpec) -> MomentTable:
     """Exact normally ordered moments of the catalogue state at t = 0."""
-    if isinstance(state, Coherent):
-        return gaussian_moment_table(state.gamma, 0.0, 0.0)
-
-    if isinstance(state, Thermal):
-        return gaussian_moment_table(0.0, state.nbar / 2.0, state.nbar / 2.0)
-
-    if isinstance(state, SqueezedCoherent):
-        s = state.s
-        return gaussian_moment_table(
-            state.gamma, (1.0 - s) / (4.0 * s), (s - 1.0) / 4.0
-        )
-
-    if isinstance(state, PhotonAddedCoherent):
-        g, gc = state.gamma, np.conj(state.gamma)
-
-        def coherent_base(j: int, k: int) -> complex:
-            return gc**j * g**k
-
-        return MomentTable.build(
-            lambda j, k: _added_photon_entry(coherent_base, j, k)
-        )
-
-    if isinstance(state, PhotonAddedThermal):
-        nb = state.nbar
-
-        def thermal_base(j: int, k: int) -> complex:
-            return factorial(j) * nb**j if j == k else 0.0
-
-        return MomentTable.build(
-            lambda j, k: _added_photon_entry(thermal_base, j, k)
-        )
-
-    if isinstance(state, Cat):
-        g, gc = state.gamma, np.conj(state.gamma)
-        olap = math.exp(-2.0 * abs(g) ** 2)
-        norm = 2.0 * state.norm_factor
-        eip = complex(math.cos(state.phi), math.sin(state.phi))
-
-        def entry(j: int, k: int) -> complex:
-            branch = 1.0 + (-1.0) ** (j + k)
-            cross = olap * (eip * (-1.0) ** k + np.conj(eip) * (-1.0) ** j)
-            return gc**j * g**k * (branch + cross) / norm
-
-        return MomentTable.build(entry)
-
-    raise ConfigError(f"unknown state kind: {type(state).__name__}")
+    return state.moments()
 
 
 # ---------------------------------------------------------------------------
@@ -395,54 +527,4 @@ class PDescriptor:
 
 def initial_p_descriptor(state: StateSpec) -> PDescriptor:
     """Exact diagonal-weight descriptor of the catalogue state at t = 0."""
-    if isinstance(state, Coherent):
-        return PDescriptor((DescriptorTerm(1.0, state.gamma, 0.0, 0.0),))
-
-    if isinstance(state, Thermal):
-        c = state.nbar / 4.0
-        return PDescriptor((DescriptorTerm(1.0, 0.0, c, c),))
-
-    if isinstance(state, SqueezedCoherent):
-        s = state.s
-        return PDescriptor(
-            (
-                DescriptorTerm(
-                    1.0,
-                    state.gamma,
-                    (1.0 - s) / (8.0 * s),
-                    -(1.0 - s) / 8.0,
-                ),
-            )
-        )
-
-    if isinstance(state, PhotonAddedCoherent):
-        return PDescriptor(
-            (
-                DescriptorTerm(
-                    1.0, state.gamma, 0.0, 0.0, AddedCoherentPoly(state.gamma)
-                ),
-            )
-        )
-
-    if isinstance(state, PhotonAddedThermal):
-        c = state.nbar / 4.0
-        return PDescriptor(
-            (
-                DescriptorTerm(
-                    1.0, 0.0, c, c, FieldLaplacian((state.nbar + 1.0) / 4.0)
-                ),
-            )
-        )
-
-    if isinstance(state, Cat):
-        w = 1.0 / (2.0 * state.norm_factor)
-        olap = math.exp(-2.0 * abs(state.gamma) ** 2)
-        return PDescriptor(
-            (
-                DescriptorTerm(w, state.gamma, 0.0, 0.0),
-                DescriptorTerm(w, -state.gamma, 0.0, 0.0),
-            ),
-            interference=CatInterference(2.0 * w * olap, state.phi, state.gamma),
-        )
-
-    raise ConfigError(f"unknown state kind: {type(state).__name__}")
+    return state.descriptor()

@@ -5,7 +5,17 @@ import sys
 
 import pytest
 
-from sqbath.cli import CSV_HEADER, main
+from sqbath import (
+    Cat,
+    Coherent,
+    PhotonAddedCoherent,
+    PhotonAddedThermal,
+    SqueezedCoherent,
+    Thermal,
+    closed_form_transition_time,
+    transition_time,
+)
+from sqbath.cli import CSV_HEADER, main, parse_config, parse_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -104,6 +114,25 @@ def test_complex_gamma_field(tmp_path):
     assert float(rows[0][2]) == -0.5
 
 
+@pytest.mark.parametrize(
+    "doc,expected",
+    [
+        ({"kind": "coherent", "gamma": [1.0, -0.5]}, Coherent(1.0 - 0.5j)),
+        ({"kind": "thermal", "nbar": 2}, Thermal(2.0)),
+        (
+            {"kind": "squeezed_coherent", "gamma": [0.5, 0.25], "mu": -0.3},
+            SqueezedCoherent(0.5 + 0.25j, -0.3),
+        ),
+        ({"kind": "photon_added_coherent", "gamma": [0.0, 1.5]}, PhotonAddedCoherent(1.5j)),
+        ({"kind": "photon_added_thermal", "nbar": 0.7}, PhotonAddedThermal(0.7)),
+        ({"kind": "cat", "gamma": [1.0, 1.0], "phi": 1.25}, Cat(1.0 + 1.0j, 1.25)),
+        ({"kind": "cat", "gamma": [1.0, 1.0]}, Cat(1.0 + 1.0j, 0.0)),  # phi defaults to 0
+    ],
+)
+def test_parse_state_every_kind(doc, expected):
+    assert parse_state(doc) == expected
+
+
 def test_physical_reservoir_keys(tmp_path, capsys):
     r = math.asinh(1.0)
     doc = {
@@ -142,6 +171,27 @@ def test_transition_time_none(tmp_path, capsys):
     }
     cfg = write_config(tmp_path, doc)
     assert main(["transition-time", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "none\n"
+
+
+@pytest.mark.parametrize(
+    "state,reservoir",
+    [
+        ({"kind": "coherent", "gamma": 1.0}, {"N": 0.0, "M": 0.0}),
+        ({"kind": "coherent", "gamma": 1.0}, {"N": 1.0, "M": 1.0}),
+        ({"kind": "coherent", "gamma": [0.3, 1.0]}, {"N": 0.5, "M": -0.5}),
+        ({"kind": "thermal", "nbar": 0.0}, {"N": 1.0, "M": 1.0}),
+        ({"kind": "squeezed_coherent", "gamma": 1.0, "mu": 0.0}, {"N": 0.0, "M": 0.0}),
+        # the profile -1e-300 u underflows to exactly zero at late times
+        ({"kind": "thermal", "nbar": 1e-300}, {"N": 0.0, "M": 0.0}),
+    ],
+)
+def test_zero_profile_has_no_crossing(tmp_path, capsys, state, reservoir):
+    doc = {"state": state, "reservoir": reservoir}
+    cfg = parse_config(doc, need_grid=False)
+    assert transition_time(cfg.state, cfg.reservoir) is None
+    assert closed_form_transition_time(cfg.state, cfg.reservoir) is None
+    assert main(["transition-time", "--config", write_config(tmp_path, doc)]) == 0
     assert capsys.readouterr().out == "none\n"
 
 
@@ -219,6 +269,22 @@ def test_validate_surfaces_truncation_hint(tmp_path, capsys):
             "time_grid": {"start": 0, "stop": 1, "step": 0.1},
             "outputs": ["moments", "entropy"],
         },
+    ]
+    + [
+        {
+            "state": state,  # one required field missing, or an unhashable kind
+            "reservoir": {"N": 1.0, "M": 0.0},
+            "time_grid": {"start": 0, "stop": 1, "step": 0.1},
+        }
+        for state in (
+            {"kind": "coherent"},
+            {"kind": "thermal"},
+            {"kind": "squeezed_coherent", "gamma": 1.0},
+            {"kind": "photon_added_coherent"},
+            {"kind": "photon_added_thermal"},
+            {"kind": "cat", "phi": 1.0},
+            {"kind": ["coherent"]},
+        )
     ],
 )
 def test_config_errors_exit_two(tmp_path, capsys, doc):

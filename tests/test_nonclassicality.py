@@ -175,6 +175,30 @@ def test_no_crossing_under_thermal_bath():
     assert transition_time(PhotonAddedThermal(1.0), R_TH) is not None
 
 
+class _StepProfile:
+    """Stand-in state whose raw profile is piecewise constant in u."""
+
+    def __init__(self, early, middle, late):
+        self.levels = (early, middle, late)
+
+    def depth(self, u, n_t, m_t):
+        early, middle, late = self.levels
+        return early if u > 0.5 else middle if u > 0.25 else late
+
+
+@pytest.mark.parametrize(
+    "levels,crosses",
+    [((1.0, 0.0, -1.0), True), ((1.0, 0.0, 1.0), False), ((-1.0, 0.0, -1.0), False)],
+)
+def test_exact_zero_crosses_only_between_opposite_signs(levels, crosses):
+    got = transition_time(_StepProfile(*levels), R_TH)
+    if crosses:
+        # the first scan point past u = 1/2, at most one geometric step late
+        assert 0.5 * math.log(2.0) <= got < 1.04 * 0.5 * math.log(2.0)
+    else:
+        assert got is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(nbar=st.floats(0.05, 3.0), r=st.floats(0.3, 1.2), nbar0=st.floats(0.0, 0.5))
 def test_bisection_agrees_with_algebra(nbar, r, nbar0):
