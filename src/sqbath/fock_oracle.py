@@ -1,15 +1,17 @@
 """Truncated-Fock-space master-equation oracle.
 
-This is the package's independent validation route: dense matrices in a
-photon-number basis, exact catalogue-state preparation, a fixed-step RK4
-integration of the damped-mode master equation
+This is the package's independent validation route: operators built from
+sparse ladder matrices in a photon-number basis, exact catalogue-state
+preparation, a fixed-step RK4 integration of the damped-mode master
+equation
 
     drho/dt = Gamma (N+1) (2 a rho adag - adag a rho - rho adag a)
             + Gamma  N    (2 adag rho a - a adag rho - rho a adag)
             - Gamma  M    (2 adag rho adag - adag adag rho - rho adag adag)
             - Gamma  M*   (2 a rho a - a a rho - rho a a),
 
-and a displaced-number series for the smoothed phase-space densities.
+as one sparse superoperator acting on the flattened density matrix, and a
+displaced-number series for the smoothed phase-space densities.
 Nothing here calls the analytic layer; agreement between the two routes
 is what the test suite certifies.
 """
@@ -19,7 +21,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     ConfigError,
@@ -47,31 +51,30 @@ SERIES_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
-def _ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim - 1)
-    a[idx, idx + 1] = np.sqrt(np.arange(1, dim, dtype=float))
-    ad = a.conj().T.copy()
-    a.setflags(write=False)
-    ad.setflags(write=False)
-    return a, ad
+def _ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Truncated (a, adag) as sparse matrices; shared, never mutated."""
+    a = sp.diags(np.sqrt(np.arange(1.0, dim)).astype(complex), 1, format="csr")
+    return a, a.T.tocsr()
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Truncated annihilation operator (a copy; safe to mutate)."""
-    return _ladder(dim)[0].copy()
+def _displacement_generator(z: complex, dim: int) -> sp.csr_matrix:
+    a, ad = _ladder(dim)
+    return z * ad - np.conj(z) * a
+
+
+def _squeeze_generator(xi: complex, dim: int) -> sp.csr_matrix:
+    a, ad = _ladder(dim)
+    return 0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad))
 
 
 def displacement(z: complex, dim: int) -> np.ndarray:
     """D(z) = exp(z adag - z* a) on the truncated space."""
-    a, ad = _ladder(dim)
-    return expm(z * ad - np.conj(z) * a)
+    return expm(_displacement_generator(z, dim).toarray())
 
 
 def squeeze(xi: complex, dim: int) -> np.ndarray:
     """S(xi) = exp((xi* a^2 - xi adag^2)/2) on the truncated space."""
-    a, ad = _ladder(dim)
-    return expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
+    return expm(_squeeze_generator(xi, dim).toarray())
 
 
 def coherent_vector(gamma: complex, dim: int) -> np.ndarray:
@@ -121,7 +124,10 @@ def prepare(state: StateSpec, dim: int = DEFAULT_DIM) -> np.ndarray:
         # build in a larger space and project so the vector below dim is
         # the exact state's amplitudes, not truncated-exponential ones
         big = 2 * dim
-        v = (displacement(state.gamma, big) @ squeeze(state.mu, big)[:, 0])[:dim]
+        v = np.zeros(big, dtype=complex)
+        v[0] = 1.0
+        v = expm_multiply(_squeeze_generator(state.mu, big), v)
+        v = expm_multiply(_displacement_generator(state.gamma, big), v)[:dim]
         rho = np.outer(v, v.conj())
 
     elif isinstance(state, PhotonAddedCoherent):
@@ -151,40 +157,65 @@ def prepare(state: StateSpec, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rhs_operators(
-    dim: int, n_cap: float, m_cap: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H, B, C) with the jump part folded into two products:
+def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The module docstring's dissipators as superoperators on row-major
+    vec(rho), stored on one shared sparsity pattern as (indptr, indices,
+    values); rows 0, 1 and 2 of values are the parts multiplied by N+1, N
+    and -M.
 
-        jump = a rho B + adag rho C,
-        B = (N+1) adag - M a,   C = N a - M adag,
-        H = (N+1) adag a + N a adag - M (adag^2 + a^2).
+    Each dissipator is 2 x rho y - y x rho - rho y x, and
+    vec(X rho Y) = (X kron Y^T) vec(rho); M being real, the -M part sums
+    the (adag, adag) and (a, a) terms. The pattern is the union of the
+    three (about nine entries per row) and does not depend on the
+    reservoir: where N or M is zero the zeros stay stored, so one RK4 step
+    costs the same for every reservoir of a given dim.
     """
     a, ad = _ladder(dim)
-    h = (n_cap + 1.0) * (ad @ a) + n_cap * (a @ ad) - m_cap * (ad @ ad + a @ a)
-    b = (n_cap + 1.0) * ad - m_cap * a
-    c = n_cap * a - m_cap * ad
-    for op in (h, b, c):
-        op.setflags(write=False)
-    return h, b, c
+    eye = sp.identity(dim, dtype=complex, format="csr")
+
+    def dissipator(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+        yx = y @ x
+        return 2.0 * sp.kron(x, y.T) - sp.kron(yx, eye) - sp.kron(eye, yx.T)
+
+    parts = [dissipator(a, ad), dissipator(ad, a), dissipator(ad, ad) + dissipator(a, a)]
+    parts = [p.tocoo() for p in parts]  # canonical sums: no duplicate entries
+    size = dim * dim
+    keys = [p.row.astype(np.int64) * size + p.col for p in parts]
+    pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.zeros((len(parts), pattern.size))
+    split = np.cumsum([k.size for k in keys])[:-1]
+    for row, p, at in zip(values, parts, np.split(where, split)):
+        row[at] = p.data.real
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pattern // size, minlength=size), out=indptr[1:])
+    indices = (pattern % size).astype(np.int32)
+    for arr in (indptr, indices, values):
+        arr.setflags(write=False)
+    return indptr, indices, values
+
+
+def _liouvillian(dim: int, res: ReservoirParams) -> sp.csr_matrix:
+    """The master equation as one superoperator on row-major vec(rho),
+    Gamma [(N+1) L_1 + N L_2 - M L_M] on _dissipator_parts' pattern."""
+    indptr, indices, values = _dissipator_parts(dim)
+    coef = res.gamma * np.array([res.N + 1.0, res.N, -res.M])
+    size = dim * dim
+    return sp.csr_matrix(((coef @ values).astype(complex), indices, indptr), shape=(size, size))
 
 
 def lindblad_rhs(rho: np.ndarray, res: ReservoirParams) -> np.ndarray:
-    """Right-hand side of the master equation (dense, truncated)."""
+    """Right-hand side of the master equation (truncated)."""
     dim = rho.shape[0]
-    a, ad = _ladder(dim)
-    h, b, c = _rhs_operators(dim, res.N, res.M)
-    ar = a @ rho
-    adr = ad @ rho
-    return res.gamma * (2.0 * (ar @ b + adr @ c) - (h @ rho + rho @ h))
+    return (_liouvillian(dim, res) @ rho.reshape(-1)).reshape(dim, dim)
 
 
-def _rk4_step(rho: np.ndarray, res: ReservoirParams, h: float) -> np.ndarray:
-    k1 = lindblad_rhs(rho, res)
-    k2 = lindblad_rhs(rho + (0.5 * h) * k1, res)
-    k3 = lindblad_rhs(rho + (0.5 * h) * k2, res)
-    k4 = lindblad_rhs(rho + h * k3, res)
-    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(lv: sp.csr_matrix, rho: np.ndarray, h: float) -> np.ndarray:
+    v = rho.reshape(-1)
+    k1 = lv @ v
+    k2 = lv @ (v + (0.5 * h) * k1)
+    k3 = lv @ (v + (0.5 * h) * k2)
+    k4 = lv @ (v + h * k3)
+    rho = (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(rho.shape)
     # roundoff accumulates asymmetry; fold it back every step
     return 0.5 * (rho + rho.conj().T)
 
@@ -223,6 +254,7 @@ def evolve_recording(
         raise ConfigError(f"dt must be > 0, got {dt}")
     rho = np.array(rho0, dtype=complex)
     _check_trace(rho)
+    lv = _liouvillian(rho.shape[0], res)
     out: list[np.ndarray] = []
     t_now = 0.0
     for target in times:
@@ -233,7 +265,7 @@ def evolve_recording(
             n_steps = max(1, round(span / dt))
             h = span / n_steps
             for _ in range(n_steps):
-                rho = _rk4_step(rho, res, h)
+                rho = _rk4_step(lv, rho, h)
                 _check_trace(rho)
         t_now = target
         out.append(rho.copy())
@@ -242,7 +274,7 @@ def evolve_recording(
 
 @lru_cache(maxsize=None)
 def _moment_ops(dim: int) -> dict[tuple[int, int], np.ndarray]:
-    a, ad = _ladder(dim)
+    a, ad = (op.toarray() for op in _ladder(dim))
     a_pow = [np.eye(dim, dtype=complex)]
     ad_pow = [np.eye(dim, dtype=complex)]
     for _ in range(MAX_ORDER):
@@ -298,17 +330,34 @@ def quasiprob_from_rho(rho: np.ndarray, z: complex, tau: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _disp_real(dim: int, x: float) -> np.ndarray:
+def _position_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (mu, W) of the real symmetric adag + a."""
     a, ad = _ladder(dim)
-    d = expm(x * np.real(ad - a))
+    mu, w = np.linalg.eigh((a + ad).toarray().real)
+    mu.setflags(write=False)
+    w.setflags(write=False)
+    return mu, w
+
+
+def _position_exp(dim: int, y: float) -> np.ndarray:
+    """exp(i y (adag + a)) = W e^{i y mu} W^T."""
+    mu, w = _position_basis(dim)
+    return (w * np.exp(1j * y * mu)) @ w.T
+
+
+@lru_cache(maxsize=None)
+def _disp_imag(dim: int, y: float) -> np.ndarray:
+    d = _position_exp(dim, y)
     d.setflags(write=False)
     return d
 
 
 @lru_cache(maxsize=None)
-def _disp_imag(dim: int, y: float) -> np.ndarray:
-    a, ad = _ladder(dim)
-    d = expm(1j * y * (ad + a))
+def _disp_real(dim: int, x: float) -> np.ndarray:
+    """exp(x (adag - a)) = R exp(i x (adag + a)) R^dag with R = diag((-i)^n),
+    since R (adag + a) R^dag = -i (adag - a); the result is real."""
+    r = np.array([1.0, -1j, -1.0, 1j])[np.arange(dim) % 4]
+    d = np.ascontiguousarray((r[:, None] * _position_exp(dim, x) * r.conj()).real)
     d.setflags(write=False)
     return d
 

@@ -27,6 +27,10 @@ T_MAX_SCALED = 50.0
 _BISECT_TOL = 1e-10
 # A grid minimum above this threshold counts as "nonnegative" in scans.
 NEGATIVITY_THRESHOLD = -1e-12
+# A raw profile this close to zero at t = 0 starts on the boundary: it
+# counts as zero in the crossing scan, and leaving it into the
+# nonclassical side is an immediate transition.
+IMMEDIATE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,13 @@ def gaussian_tau_from_covariance(min_variance: float) -> float:
 def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
     """Smallest t > 0 where the raw profile crosses zero.
 
-    Returns None when no sign change exists on (0, 50/Gamma]; a value of
-    exactly zero is a crossing only where the nearest nonzero values on
-    its two sides have opposite signs, so a profile that is identically
-    zero (or underflows to zero) has no crossing. Raises
+    The scan starts at t = 0, followed by a geometric grid from Gamma t =
+    1e-8 to 50, so crossings earlier than the first grid point are
+    bracketed too; a value at t = 0 within IMMEDIATE_TOL of zero counts
+    as zero. Returns None when no sign change exists on [0, 50/Gamma]; a
+    value of exactly zero is a crossing only where the nearest nonzero
+    values on its two sides have opposite signs, so a profile that is
+    identically zero (or underflows to zero) has no crossing. Raises
     ImmediateTransition when the profile leaves zero into the
     nonclassical side at t = 0+ and never crosses back (a coherent state
     under a squeezing-dominated reservoir).  Bisection is carried to
@@ -87,8 +94,10 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
     def raw_scaled(gt: float) -> float:
         return tau_raw(state, res, gt / gamma)
 
-    gts = np.geomspace(1e-8, T_MAX_SCALED, 700)
+    gts = np.concatenate(([0.0], np.geomspace(1e-8, T_MAX_SCALED, 700)))
     vals = [raw_scaled(g) for g in gts]
+    if abs(vals[0]) <= IMMEDIATE_TOL:
+        vals[0] = 0.0
 
     bracket = None
     last = None  # index of the latest nonzero value
@@ -103,8 +112,7 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
         last = i
 
     if bracket is None:
-        raw0 = raw_scaled(0.0)
-        if vals[0] > 0.0 and abs(raw0) <= 1e-14:
+        if vals[0] == 0.0 and vals[1] > 0.0:
             raise ImmediateTransition(
                 "profile is nonclassical immediately after t = 0 "
                 "with no later crossing"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from sqbath import (
     Cat,
@@ -17,7 +18,11 @@ from sqbath import (
     TruncationTooSmall,
 )
 from sqbath.fock_oracle import (
+    _disp_imag,
+    _disp_real,
+    _liouvillian,
     coherent_vector,
+    displacement,
     evolve_recording,
     integrate,
     lindblad_rhs,
@@ -25,12 +30,18 @@ from sqbath.fock_oracle import (
     prepare,
     quasiprob_from_rho,
     quasiprob_grid,
+    squeeze,
     steady_state,
 )
 
 SQRT2 = math.sqrt(2.0)
 R_SAT = ReservoirParams(N=1.0, M=-SQRT2)
 R_MIX = ReservoirParams(N=2.0, M=1.0)
+
+
+def _dense_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    return a, a.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +103,65 @@ def test_prepare_rejects_tiny_dim():
         prepare(Coherent(0.0), 1)
 
 
+@pytest.mark.parametrize(
+    "gamma,mu,dim",
+    [(0.7 - 0.4j, 0.5, 48), (-0.3 + 0.8j, 0.3 + 0.4j, 48), (1.0, 1.0, 128)],
+)
+def test_prepare_squeezed_matches_dense_exponentials(gamma, mu, dim):
+    # the sparse exponential actions must land on D(gamma) S(mu) e_0 built
+    # from dense matrix exponentials in the same doubled space
+    v = (displacement(gamma, 2 * dim) @ squeeze(mu, 2 * dim)[:, 0])[:dim]
+    ref = np.outer(v, v.conj())
+    ref /= np.trace(ref).real
+    np.testing.assert_allclose(prepare(SqueezedCoherent(gamma, mu), dim), ref, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the master-equation right-hand side
+
+
+def _dissipator(x, y, rho):
+    """2 x rho y - y x rho - rho y x."""
+    return 2.0 * x @ rho @ y - y @ x @ rho - rho @ y @ x
+
+
+@pytest.mark.parametrize("dim", [12, 40])
+@pytest.mark.parametrize(
+    "res",
+    [
+        ReservoirParams(N=1.0, M=-0.5),
+        ReservoirParams(N=0.7, M=0.0),
+        ReservoirParams(N=2.0, M=1.0, gamma=0.6),
+        R_SAT,
+    ],
+)
+def test_rhs_matches_dense_master_equation(dim, res):
+    # the module docstring's four dissipators, written out with dense
+    # ladder matrices, on a full (non-Hermitian) complex matrix so that
+    # every transposition in the superoperator shows
+    a, ad = _dense_ladder(dim)
+    rng = np.random.default_rng(dim)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ref = res.gamma * (
+        (res.N + 1.0) * _dissipator(a, ad, rho)
+        + res.N * _dissipator(ad, a, rho)
+        - res.M * _dissipator(ad, ad, rho)
+        - np.conj(res.M) * _dissipator(a, a, rho)
+    )
+    got = lindblad_rhs(rho, res)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_liouvillian_pattern_does_not_depend_on_the_reservoir():
+    # the RK4 cost per step is set by the stored entries; a reservoir whose
+    # M or N is zero keeps the same pattern, with zeros stored
+    dim = 12
+    ref = _liouvillian(dim, R_SAT)
+    for res in (ReservoirParams(N=0.0, M=0.0), ReservoirParams(N=0.7, M=0.0, gamma=2.0), R_MIX):
+        lv = _liouvillian(dim, res)
+        assert lv.nnz == ref.nnz
+        assert np.array_equal(lv.indptr, ref.indptr)
+        assert np.array_equal(lv.indices, ref.indices)
 
 
 def test_rhs_preserves_trace():
@@ -235,6 +303,14 @@ def test_series_divergence_guard():
             quasiprob_from_rho(rho, 0.0, tau)
         with pytest.raises(SeriesDiverges):
             quasiprob_grid(rho, np.zeros(1), np.zeros(1), tau)
+
+
+@pytest.mark.parametrize("dim", [16, 64, 128])
+def test_cached_displacements_match_expm(dim):
+    a, ad = _dense_ladder(dim)
+    for v in (-2.3, -0.5, 0.7, 3.1):
+        np.testing.assert_allclose(_disp_real(dim, v), expm(v * (ad - a)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_disp_imag(dim, v), expm(1j * v * (ad + a)), rtol=0, atol=1e-12)
 
 
 def test_grid_series_matches_scalar_series():

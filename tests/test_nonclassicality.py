@@ -162,6 +162,18 @@ def test_reference_crossings(state, res, expected):
     assert abs(res.gamma * closed - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("mu", [1e-9, 1e-11])
+def test_crossing_before_first_scan_point(mu):
+    # a barely squeezed vacuum under a thermal bath crosses at Gamma t ~ mu,
+    # before the geometric scan's first point at 1e-8
+    state = SqueezedCoherent(0.0, mu)
+    closed = closed_form_transition_time(state, R_TH)
+    assert closed is not None and closed < 1e-8
+    numeric = transition_time(state, R_TH)
+    assert numeric is not None
+    assert abs(numeric - closed) <= 1e-8
+
+
 def test_coherent_turns_nonclassical_immediately():
     with pytest.raises(ImmediateTransition):
         transition_time(Coherent(1.0), R_SAT)
