@@ -39,6 +39,7 @@ from .evolution import (
     GaussianSmoothing,
     evolve_moments,
     evolved_descriptor,
+    evolved_means,
     evolved_state_moments,
     mandel_q,
     quadrature_variances,
@@ -86,6 +87,7 @@ __all__ = [
     "closed_form_transition_time",
     "evolve_moments",
     "evolved_descriptor",
+    "evolved_means",
     "evolved_state_moments",
     "from_physical",
     "gaussian_tau_from_covariance",

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
@@ -34,11 +35,11 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedDescriptor,
 )
-from .evolution import evolve_moments, mandel_q, quadrature_variances
+from .evolution import evolve_moments, evolved_means, mandel_q, quadrature_variances
 from .nonclassicality import closed_form_transition_time, tau_profile, transition_time
 from .plotting import write_figures
 from .reservoir import PhysicalReservoirSpec, ReservoirParams, from_physical
-from .states import MomentTable, StateSpec, initial_moments
+from .states import StateSpec, initial_moments
 
 CSV_HEADER = (
     "gamma_t,re_mean_a,im_mean_a,n_mean,mandel_q,var_x,var_y,tau_m_raw,tau_m"
@@ -238,45 +239,65 @@ def _f(x: float) -> str:
     return f"{x + 0.0:.16e}"
 
 
-def _csv_row(cfg: RunConfig, m0: MomentTable, gt: float) -> str:
-    state, res = cfg.state, cfg.reservoir
-    t = gt / res.gamma
-    cells = [_f(gt)]
+_CELL = "%.16e"  # the bytes of _f for a value that already had + 0.0
 
-    if "moments" in cfg.outputs:
-        mt = evolve_moments(m0, res, t)
-        cells += [_f(mt.mean_a.real), _f(mt.mean_a.imag), _f(mt.mean_n)]
+
+def csv_lines(cfg: RunConfig) -> Iterator[str]:
+    """The CSV's data lines, each ending in a newline.
+
+    Each observable is evaluated once, on the whole time grid; a line is
+    one % template filled from the columns, with NA in the cells that
+    ``outputs`` switches off and in the Mandel Q cells where the mean
+    photon number is zero.
+    """
+    state, res, outputs = cfg.state, cfg.reservoir, cfg.outputs
+    m0 = initial_moments(state)
+    gts = cfg.time_grid.points()
+    t = gts / res.gamma
+    cells: list[str] = []
+    columns: list[list] = []
+
+    def numeric(*arrays) -> None:
+        cells.extend([_CELL] * len(arrays))
+        columns.extend((a + 0.0).tolist() for a in arrays)  # + 0.0 as in _f
+
+    def absent(n: int) -> None:
+        cells.extend([NA] * n)
+
+    numeric(gts)
+
+    if "moments" in outputs:
+        mean_a, mean_n = evolved_means(m0, res, t)
+        numeric(mean_a.real, mean_a.imag, mean_n)
     else:
-        cells += [NA, NA, NA]
+        absent(3)
 
-    if "mandel_q" in cfg.outputs:
-        try:
-            cells.append(_f(mandel_q(m0, res, t)))
-        except DegenerateDenominator:
-            cells.append(NA)
+    if "mandel_q" in outputs:
+        # NaN marks the times where the mean photon number is zero
+        q = mandel_q(m0, res, t).tolist()
+        cells.append("%s")
+        columns.append([NA if x != x else _f(x) for x in q])
     else:
-        cells.append(NA)
+        absent(1)
 
-    if "variances" in cfg.outputs:
-        vx, vy = quadrature_variances(m0, res, t)
-        cells += [_f(vx), _f(vy)]
+    if "variances" in outputs:
+        numeric(*quadrature_variances(m0, res, t))
     else:
-        cells += [NA, NA]
+        absent(2)
 
-    if "tau_m" in cfg.outputs:
+    if "tau_m" in outputs:
         prof = tau_profile(state, res, t)
-        cells += [_f(prof.raw), _f(prof.clamped)]
+        numeric(prof.raw, prof.clamped)
     else:
-        cells += [NA, NA]
+        absent(2)
 
-    return ",".join(cells)
+    template = ",".join(cells) + "\n"
+    return (template % row for row in zip(*columns))
 
 
 def cmd_evolve(cfg: RunConfig, out) -> int:
-    m0 = initial_moments(cfg.state)
     out.write(CSV_HEADER + "\n")
-    for gt in cfg.time_grid.points():
-        out.write(_csv_row(cfg, m0, gt) + "\n")
+    out.writelines(csv_lines(cfg))
     return 0
 
 
@@ -369,9 +390,6 @@ def cmd_validate(cfg: RunConfig, out) -> int:
 # entry point
 
 
-_PARALLEL_HELP = "accepted for compatibility; has no effect (work runs serially)"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sqbath",
@@ -383,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("evolve", help="write a time-series CSV")
     pe.add_argument("--config", required=True, help="JSON config path")
     pe.add_argument("--out", help="output CSV path (default stdout)")
-    pe.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     pt = sub.add_parser("transition-time", help="report the depth zero crossing")
     pt.add_argument("--config", required=True, help="JSON config path")
@@ -397,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="force-enable the oracle")
     pv.add_argument("--dim", type=int, help="override truncation dimension")
     pv.add_argument("--dt", type=float, help="override integrator step")
-    pv.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
     return p
 
 

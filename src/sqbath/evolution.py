@@ -21,6 +21,7 @@ from math import comb
 
 import numpy as np
 
+from .elementwise import FloatOrArray, emap
 from .errors import DegenerateDenominator, UnsupportedDescriptor
 from .reservoir import ReservoirParams, mt, nt
 from .states import (
@@ -48,15 +49,16 @@ class GaussianSmoothing:
     add_i : Gaussian coefficient added on the imaginary axis, (N_t - M_t)/4
     """
 
-    scale: float
-    add_r: float
-    add_i: float
+    scale: FloatOrArray
+    add_r: FloatOrArray
+    add_i: FloatOrArray
 
     @classmethod
-    def from_reservoir(cls, res: ReservoirParams, t: float) -> "GaussianSmoothing":
+    def from_reservoir(cls, res: ReservoirParams, t: FloatOrArray) -> "GaussianSmoothing":
+        """At one time t, or with array fields over an array of times."""
         n_t, m_t = nt(res, t), mt(res, t)
         return cls(
-            scale=math.exp(-res.gamma * t),
+            scale=emap(math.exp, -res.gamma * t),
             add_r=(n_t + m_t) / 4.0,
             add_i=(n_t - m_t) / 4.0,
         )
@@ -128,12 +130,34 @@ def evolve_moments(m0: MomentTable, res: ReservoirParams, t: float) -> MomentTab
     return MomentTable.build(entry)
 
 
+def evolved_means(
+    m0: MomentTable, res: ReservoirParams, t: FloatOrArray
+) -> tuple[complex | np.ndarray, FloatOrArray]:
+    """(<a>, <n>) at time t, or as arrays over an array of times: the
+    (0, 1) and (1, 1) entries of ``evolve_moments`` with their zero terms
+    dropped, which leaves the same floats,
+
+        <a>(t) = e^{-Gamma t} <a>(0),
+        <n>(t) = e^{-2 Gamma t} <n>(0) + m00 (Var xi_i + Var xi_r).
+
+    m00 stays in: for photon-added coherent and cat tables it is 1 only to
+    rounding.
+    """
+    sm = GaussianSmoothing.from_reservoir(res, t)
+    k = sm.scale
+    var_r, var_i = 2.0 * sm.add_r, 2.0 * sm.add_i
+    mean_a = k * m0.mean_a
+    # k ** 2 as the table computes it: Python's pow, not k * k
+    mean_n = emap(pow, k, 2) * m0.mean_n + m0[0, 0].real * (var_i + var_r)
+    return mean_a, mean_n
+
+
 def evolved_state_moments(state: StateSpec, res: ReservoirParams, t: float) -> MomentTable:
     """Convenience: exact moment table of a catalogue state at time t."""
     return evolve_moments(initial_moments(state), res, t)
 
 
-def mandel_q(m0: MomentTable, res: ReservoirParams, t: float) -> float:
+def mandel_q(m0: MomentTable, res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
     """Mandel Q at time t from the initial moment table.
 
     Q(t) = { [<adag2 a2>(0) - <n>(0)^2] e^{-4 Gamma t}
@@ -141,34 +165,39 @@ def mandel_q(m0: MomentTable, res: ReservoirParams, t: float) -> float:
              + N_t^2 + M_t^2 } / { <n>(0) e^{-2 Gamma t} + N_t }
 
     Raises DegenerateDenominator when the mean photon number vanishes.
+    Over an array of times it returns an array instead, with NaN at the
+    times where the mean photon number is zero.
     """
     n_t, m_t = nt(res, t), mt(res, t)
-    u = math.exp(-2.0 * res.gamma * t)
+    u = emap(math.exp, -2.0 * res.gamma * t)
     n0 = m0.mean_n
     denom = n0 * u + n_t
-    if denom == 0.0:
-        raise DegenerateDenominator(
-            "Mandel Q undefined: mean photon number is zero"
-        )
     numer = (
         (m0.mean_n2_ordered - n0 * n0) * u * u
         + (2.0 * n_t * n0 + 2.0 * m_t * m0.mean_a2.real) * u
         + n_t * n_t
         + m_t * m_t
     )
+    if isinstance(denom, np.ndarray):
+        return numer / np.where(denom == 0.0, np.nan, denom)
+    if denom == 0.0:
+        raise DegenerateDenominator(
+            "Mandel Q undefined: mean photon number is zero"
+        )
     return numer / denom
 
 
 def quadrature_variances(
-    m0: MomentTable, res: ReservoirParams, t: float
-) -> tuple[float, float]:
-    """(Var X, Var Y)(t) for X = (a + a^dag)/2, Y = (a - a^dag)/(2i).
+    m0: MomentTable, res: ReservoirParams, t: FloatOrArray
+) -> tuple[FloatOrArray, FloatOrArray]:
+    """(Var X, Var Y)(t) for X = (a + a^dag)/2, Y = (a - a^dag)/(2i); a
+    pair of arrays over an array of times.
 
     V_X(t) = [2 (N_t + M_t) + 1]/4 + [V_X(0) - 1/4] e^{-2 Gamma t},
     and with M_t -> -M_t for V_Y.
     """
     n_t, m_t = nt(res, t), mt(res, t)
-    u = math.exp(-2.0 * res.gamma * t)
+    u = emap(math.exp, -2.0 * res.gamma * t)
     vx = (2.0 * (n_t + m_t) + 1.0) / 4.0 + (m0.var_x() - 0.25) * u
     vy = (2.0 * (n_t - m_t) + 1.0) / 4.0 + (m0.var_y() - 0.25) * u
     return vx, vy

@@ -273,26 +273,36 @@ def evolve_recording(
 
 
 @lru_cache(maxsize=None)
-def _moment_ops(dim: int) -> dict[tuple[int, int], np.ndarray]:
-    a, ad = (op.toarray() for op in _ladder(dim))
-    a_pow = [np.eye(dim, dtype=complex)]
-    ad_pow = [np.eye(dim, dtype=complex)]
-    for _ in range(MAX_ORDER):
-        a_pow.append(a_pow[-1] @ a)
-        ad_pow.append(ad_pow[-1] @ ad)
-    ops = {}
+def _moment_bands(dim: int) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each (j, k), the band of rho that tr(rho adag^j a^k) reads.
+
+    a^k |n> = sqrt(n!/(n-k)!) |n-k> for n >= k, and adag^j then reaches
+    |n-k+j> with sqrt((n-k+j)!/(n-k)!) as long as n-k+j < dim (the
+    truncated adag empties the top level), so the trace is
+    sum_n rho[n, n-k+j] times those two factors: (rows, cols, weights).
+    """
+    bands = {}
     for j in range(MAX_ORDER + 1):
         for k in range(MAX_ORDER + 1 - j):
-            ops[(j, k)] = ad_pow[j] @ a_pow[k]
-    return ops
+            n = np.arange(k, min(dim, dim + k - j))
+            low = n - k
+            factor = np.ones(n.size)
+            for i in range(k):
+                factor *= n - i
+            for i in range(1, j + 1):
+                factor *= low + i
+            band = (n, low + j, np.sqrt(factor))
+            for arr in band:
+                arr.setflags(write=False)
+            bands[(j, k)] = band
+    return bands
 
 
 def moments_from_rho(rho: np.ndarray) -> MomentTable:
     """Normally ordered moment table tr(rho adag^j a^k), j + k <= 4."""
-    ops = _moment_ops(rho.shape[0])
     m = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=complex)
-    for (j, k), op in ops.items():
-        m[j, k] = np.einsum("ij,ji->", rho, op)
+    for (j, k), (rows, cols, weights) in _moment_bands(rho.shape[0]).items():
+        m[j, k] = rho[rows, cols] @ weights
     return MomentTable(m)
 
 

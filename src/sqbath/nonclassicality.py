@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elementwise import FloatOrArray, emap
 from .errors import ConfigError, ImmediateTransition, SingularSmoothing, UnsupportedDescriptor
 from .evolution import evolved_descriptor
 from .reservoir import ReservoirParams, mt, nt
@@ -35,28 +36,29 @@ IMMEDIATE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class TauProfile:
-    """Raw (signed) and clamped nonclassical depth at one instant."""
+    """Raw (signed) and clamped nonclassical depth at one instant, or as
+    arrays over an array of times."""
 
-    raw: float
-    clamped: float
-
-
-def tau_raw(state: StateSpec, res: ReservoirParams, t: float) -> float:
-    """Unclamped depth profile; negative values mean a classical state."""
-    if t < 0.0:
-        raise ConfigError(f"time must be >= 0, got {t}")
-    u = math.exp(-2.0 * res.gamma * t)
-    return state.depth(u, nt(res, t), mt(res, t))
+    raw: FloatOrArray
+    clamped: FloatOrArray
 
 
-def tau_m(state: StateSpec, res: ReservoirParams, t: float) -> float:
+def tau_raw(state: StateSpec, res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+    """Unclamped depth profile at a time or over an array of times;
+    negative values mean a classical state."""
+    n_t, m_t = nt(res, t), mt(res, t)
+    u = emap(math.exp, -2.0 * res.gamma * t)
+    return state.depth(u, n_t, m_t)
+
+
+def tau_m(state: StateSpec, res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
     """Clamped nonclassical depth, in [0, 1] for the catalogue states."""
-    return max(0.0, tau_raw(state, res, t))
+    return tau_profile(state, res, t).clamped
 
 
-def tau_profile(state: StateSpec, res: ReservoirParams, t: float) -> TauProfile:
+def tau_profile(state: StateSpec, res: ReservoirParams, t: FloatOrArray) -> TauProfile:
     raw = tau_raw(state, res, t)
-    return TauProfile(raw=raw, clamped=max(0.0, raw))
+    return TauProfile(raw=raw, clamped=np.maximum(0.0, raw))
 
 
 def steady_tau(res: ReservoirParams) -> float:
@@ -95,7 +97,7 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
         return tau_raw(state, res, gt / gamma)
 
     gts = np.concatenate(([0.0], np.geomspace(1e-8, T_MAX_SCALED, 700)))
-    vals = [raw_scaled(g) for g in gts]
+    vals = tau_raw(state, res, gts / gamma).tolist()
     if abs(vals[0]) <= IMMEDIATE_TOL:
         vals[0] = 0.0
 

@@ -76,8 +76,7 @@ def figure_curve(spec: FigureSpec) -> tuple[np.ndarray, np.ndarray]:
     """(Γt grid, clamped τ_m values) for a figure scenario."""
     gts = spec.grid()
     g = spec.reservoir.gamma
-    vals = np.array([tau_m(spec.state, spec.reservoir, gt / g) for gt in gts])
-    return gts, vals
+    return gts, tau_m(spec.state, spec.reservoir, gts / g)
 
 
 def _fmt(v: float) -> str:

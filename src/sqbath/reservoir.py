@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .elementwise import FloatOrArray, emap
 from .errors import ConfigError
 
 # Slack for the M^2 <= N(N+1) check so that exactly saturating inputs
@@ -93,15 +96,21 @@ def from_physical(spec: PhysicalReservoirSpec, gamma: float = 1.0) -> ReservoirP
     return ReservoirParams(N=n, M=m, gamma=gamma)
 
 
-def nt(res: ReservoirParams, t: float) -> float:
-    """Time-dependent thermal noise N_t = N (1 - e^{-2 Gamma t})."""
-    if t < 0.0:
-        raise ConfigError(f"time must be >= 0, got {t}")
-    return res.N * (-math.expm1(-2.0 * res.gamma * t))
+def _check_time(t: FloatOrArray) -> None:
+    earliest = t.min() if isinstance(t, np.ndarray) else t
+    if earliest < 0.0:
+        raise ConfigError(f"time must be >= 0, got {earliest}")
 
 
-def mt(res: ReservoirParams, t: float) -> float:
-    """Time-dependent squeezing noise M_t = M (1 - e^{-2 Gamma t})."""
-    if t < 0.0:
-        raise ConfigError(f"time must be >= 0, got {t}")
-    return res.M * (-math.expm1(-2.0 * res.gamma * t))
+def nt(res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+    """Time-dependent thermal noise N_t = N (1 - e^{-2 Gamma t}); t is a
+    float or an array of times."""
+    _check_time(t)
+    return res.N * (-emap(math.expm1, -2.0 * res.gamma * t))
+
+
+def mt(res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+    """Time-dependent squeezing noise M_t = M (1 - e^{-2 Gamma t}); t is a
+    float or an array of times."""
+    _check_time(t)
+    return res.M * (-emap(math.expm1, -2.0 * res.gamma * t))

@@ -28,6 +28,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
+from .elementwise import FloatOrArray, emap
 from .errors import ConfigError
 
 MAX_ORDER = 4
@@ -42,7 +43,8 @@ MAX_ORDER = 4
 #   moments()            exact moment table at t = 0
 #   descriptor()         exact diagonal-weight descriptor at t = 0
 #   depth(u, n_t, m_t)   raw depth profile in u = e^{-2 Gamma t}, with
-#                        N_t = N (1 - u), M_t = M (1 - u)
+#                        N_t = N (1 - u), M_t = M (1 - u); floats, or
+#                        arrays over a time grid
 #   crossing_roots(N, M) candidate roots u of depth = 0, each paired with
 #                        the sign condition lost when squaring
 
@@ -62,7 +64,7 @@ class Coherent:
     def descriptor(self) -> PDescriptor:
         return PDescriptor((DescriptorTerm(1.0, self.gamma, 0.0, 0.0),))
 
-    def depth(self, u: float, n_t: float, m_t: float) -> float:
+    def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """|M_t| - N_t."""
         return abs(m_t) - n_t
 
@@ -88,7 +90,7 @@ class Thermal:
         c = self.nbar / 4.0
         return PDescriptor((DescriptorTerm(1.0, 0.0, c, c),))
 
-    def depth(self, u: float, n_t: float, m_t: float) -> float:
+    def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """|M_t| - (N_t + nbar u)."""
         return abs(m_t) - (n_t + self.nbar * u)
 
@@ -129,13 +131,13 @@ class SqueezedCoherent:
             (DescriptorTerm(1.0, self.gamma, (1.0 - s) / (8.0 * s), -(1.0 - s) / 8.0),)
         )
 
-    def depth(self, u: float, n_t: float, m_t: float) -> float:
+    def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """Max of the two quadrature branches
         -(N_t + M_t - (s-1)/(2s) u) and -(N_t - M_t + (s-1)/2 u)."""
         s = self.s
         branch_x = -(n_t + m_t - (s - 1.0) / (2.0 * s) * u)
         branch_y = -(n_t - m_t + (s - 1.0) / 2.0 * u)
-        return max(branch_x, branch_y)
+        return np.maximum(branch_x, branch_y)
 
     def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
         # each branch is slope*u - intercept; its root is a root of their
@@ -179,9 +181,9 @@ class PhotonAddedCoherent:
             (DescriptorTerm(1.0, self.gamma, 0.0, 0.0, AddedCoherentPoly(self.gamma)),)
         )
 
-    def depth(self, u: float, n_t: float, m_t: float) -> float:
+    def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """u/2 + sqrt(u^2/4 + M_t^2) - N_t, free of the amplitude."""
-        return u / 2.0 + math.hypot(u / 2.0, m_t) - n_t
+        return u / 2.0 + emap(math.hypot, u / 2.0, m_t) - n_t
 
     def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
         m2 = M * M
@@ -221,10 +223,10 @@ class PhotonAddedThermal:
             (DescriptorTerm(1.0, 0.0, c, c, FieldLaplacian((self.nbar + 1.0) / 4.0)),)
         )
 
-    def depth(self, u: float, n_t: float, m_t: float) -> float:
+    def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """(nbar+1)u/2 + sqrt(((nbar+1)u/2)^2 + M_t^2) - (N_t + nbar u)."""
         half = (self.nbar + 1.0) * u / 2.0
-        return half + math.hypot(half, m_t) - (n_t + self.nbar * u)
+        return half + emap(math.hypot, half, m_t) - (n_t + self.nbar * u)
 
     def crossing_roots(self, N: float, M: float) -> list[tuple[float, bool]]:
         nb, m2 = self.nbar, M * M

@@ -36,7 +36,7 @@ from sqbath import (
     tau_raw,
     transition_time,
 )
-from sqbath.cli import RunConfig, TimeGrid, _csv_row
+from sqbath.cli import RunConfig, TimeGrid, csv_lines
 from sqbath.plotting import figure_curve, figure_specs, render_figure
 from sqbath.states import complex_noise_moments
 
@@ -387,11 +387,8 @@ def test_criterion_8_identities(oracle_snapshots):
     for res in (R_SAT, R_MIX):
         cfg_sq = RunConfig(SqueezedCoherent(gamma, 0.0), res, grid)
         cfg_co = RunConfig(Coherent(gamma), res, grid)
-        m_sq = initial_moments(cfg_sq.state)
-        m_co = initial_moments(cfg_co.state)
-        for gt in grid.points():
-            if _csv_row(cfg_sq, m_sq, gt) != _csv_row(cfg_co, m_co, gt):
-                rows_equal = False
+        if list(csv_lines(cfg_sq)) != list(csv_lines(cfg_co)):
+            rows_equal = False
 
     # M = 0 keeps phase symmetry: V_X = V_Y for symmetric initial states
     sym_analytic = 0.0

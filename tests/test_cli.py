@@ -8,14 +8,20 @@ import pytest
 from sqbath import (
     Cat,
     Coherent,
+    DegenerateDenominator,
     PhotonAddedCoherent,
     PhotonAddedThermal,
     SqueezedCoherent,
     Thermal,
     closed_form_transition_time,
+    evolve_moments,
+    initial_moments,
+    mandel_q,
+    quadrature_variances,
+    tau_profile,
     transition_time,
 )
-from sqbath.cli import CSV_HEADER, main, parse_config, parse_state
+from sqbath.cli import CSV_HEADER, _f, csv_lines, main, parse_config, parse_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,10 +44,10 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
-def run_evolve(tmp_path, doc, extra=()):
+def run_evolve(tmp_path, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out.csv"
-    code = main(["evolve", "--config", cfg, "--out", str(out), *extra])
+    code = main(["evolve", "--config", cfg, "--out", str(out)])
     assert code == 0
     return out.read_bytes()
 
@@ -75,11 +81,74 @@ def test_added_thermal_crossing_location(tmp_path):
     assert float(by_gt[0.23][7]) < 0.0  # raw value keeps the sign
 
 
-def test_byte_determinism_and_parallel(tmp_path):
+def test_byte_determinism(tmp_path):
     a = run_evolve(tmp_path, THERMAL_SCENARIO)
     b = run_evolve(tmp_path, THERMAL_SCENARIO)
-    c = run_evolve(tmp_path, THERMAL_SCENARIO, extra=("--parallel",))
-    assert a == b == c
+    assert a == b
+
+
+# One state of every family, and one reservoir of every kind: saturated
+# (M^2 = N(N+1)), mixed, thermal (M = 0), and physical keys with gamma != 1.
+ROW_STATES = [
+    {"kind": "coherent", "gamma": [0.9, -0.4]},
+    {"kind": "thermal", "nbar": 0.7},
+    {"kind": "squeezed_coherent", "gamma": [0.3, 1.1], "mu": -0.45},
+    {"kind": "photon_added_coherent", "gamma": [-0.6, 0.8]},
+    {"kind": "photon_added_thermal", "nbar": 1.3},
+    {"kind": "cat", "gamma": [1.2, 0.5], "phi": 2.1},
+]
+ROW_RESERVOIRS = [
+    {"N": 1.0, "M": -SQRT2},
+    {"N": 2.0, "M": 1.0},
+    {"N": 0.4, "M": 0.0},
+    {"nbar0": 0.3, "r": 0.6, "theta": 0.0, "gamma": 1.7},
+]
+# 2 001 rows that start past t = 0
+ROW_GRID = {"start": 0.37, "stop": 4.37, "step": 0.002}
+
+
+def scalar_row(cfg, gt):
+    """One CSV row from scalar calls of the analytic layer at one Γt."""
+    state, res = cfg.state, cfg.reservoir
+    m0 = initial_moments(state)
+    t = gt / res.gamma
+    mt = evolve_moments(m0, res, t)
+    try:
+        q = _f(mandel_q(m0, res, t))
+    except DegenerateDenominator:
+        q = "NA"
+    vx, vy = quadrature_variances(m0, res, t)
+    prof = tau_profile(state, res, t)
+    cells = [gt, mt.mean_a.real, mt.mean_a.imag, mt.mean_n, q, vx, vy, prof.raw, prof.clamped]
+    return ",".join(c if isinstance(c, str) else _f(c) for c in cells)
+
+
+@pytest.mark.parametrize("reservoir", ROW_RESERVOIRS)
+@pytest.mark.parametrize("state", ROW_STATES)
+def test_rows_match_scalar_calls(state, reservoir):
+    # every cell is computed on the whole grid at once; it must give the
+    # bytes of the scalar functions at that grid point
+    cfg = parse_config({"state": state, "reservoir": reservoir, "time_grid": ROW_GRID})
+    gts = cfg.time_grid.points()
+    assert len(gts) == 2001
+    lines = list(csv_lines(cfg))
+    assert lines == [scalar_row(cfg, gt) + "\n" for gt in gts]
+
+
+def test_vacuum_rows_match_scalar_calls():
+    # Mandel Q is NA exactly where the mean photon number is zero: on every
+    # row of a vacuum in a zero-temperature bath, and only at t = 0 under a
+    # warm one
+    for reservoir, na_rows in (({"N": 0.0, "M": 0.0}, 21), ({"N": 0.5, "M": 0.3}, 1)):
+        doc = {
+            "state": {"kind": "coherent", "gamma": 0.0},
+            "reservoir": reservoir,
+            "time_grid": {"start": 0.0, "stop": 2.0, "step": 0.1},
+        }
+        cfg = parse_config(doc)
+        lines = list(csv_lines(cfg))
+        assert lines == [scalar_row(cfg, gt) + "\n" for gt in cfg.time_grid.points()]
+        assert sum(line.split(",")[4] == "NA" for line in lines) == na_rows
 
 
 def test_vacuum_rows_constant(tmp_path):

@@ -20,6 +20,7 @@ from sqbath import (
     UnsupportedDescriptor,
     evolve_moments,
     evolved_descriptor,
+    evolved_means,
     evolved_state_moments,
     initial_moments,
     initial_p_descriptor,
@@ -78,6 +79,51 @@ def test_first_and_second_moment_laws(res, gt):
     assert m.mean_a == pytest.approx(m0.mean_a * k, abs=1e-13)
     assert m.mean_a2 == pytest.approx(m0.mean_a2 * k * k + mt(res, t), abs=1e-13)
     assert m.mean_n == pytest.approx(m0.mean_n * k * k + nt(res, t), abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        Coherent(0.9 - 0.4j),
+        Thermal(1.3),
+        SqueezedCoherent(0.3 + 1.1j, -0.45),
+        PhotonAddedCoherent(-0.6 + 0.8j),
+        PhotonAddedThermal(0.7),
+        Cat(1.2 + 0.5j, 2.1),
+    ],
+)
+@pytest.mark.parametrize(
+    "res", [R_SAT, R_MIX, R_TH, ReservoirParams(N=0.3, M=-0.2, gamma=2.5)]
+)
+def test_evolved_means_equal_the_moment_table(state, res):
+    # the (0, 1) and (1, 1) entries of the full binomial map, float for
+    # float, at single times and over an array of times
+    m0 = initial_moments(state)
+    ts = np.linspace(0.0, 3.0, 61) / res.gamma
+    mean_a, mean_n = evolved_means(m0, res, ts)
+    for i, t in enumerate(ts):
+        table = evolve_moments(m0, res, t)
+        assert evolved_means(m0, res, t) == (table.mean_a, table.mean_n)
+        assert (mean_a[i], mean_n[i]) == (table.mean_a, table.mean_n)
+
+
+def test_observables_over_an_array_of_times():
+    # the array form of each observable is its scalar form at every time;
+    # a zero mean photon number gives NaN in the array and raises alone
+    ts = np.array([0.0, 0.2, 1.5])
+    m0 = initial_moments(PhotonAddedCoherent(0.8 + 0.2j))
+    q = mandel_q(m0, R_MIX, ts)
+    vx, vy = quadrature_variances(m0, R_MIX, ts)
+    for i, t in enumerate(ts):
+        assert q[i] == mandel_q(m0, R_MIX, t)
+        assert (vx[i], vy[i]) == quadrature_variances(m0, R_MIX, t)
+    vacuum = initial_moments(Coherent(0.0))
+    q = mandel_q(vacuum, ReservoirParams(N=1.0, M=0.0), ts)
+    assert math.isnan(q[0]) and not np.isnan(q[1:]).any()
+    with pytest.raises(DegenerateDenominator):
+        mandel_q(vacuum, ReservoirParams(N=1.0, M=0.0), 0.0)
+    with pytest.raises(ConfigError):
+        mandel_q(m0, R_MIX, np.array([0.1, -0.1]))
 
 
 def test_moment_laws_with_scaled_rate():

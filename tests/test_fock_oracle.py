@@ -80,6 +80,21 @@ def test_prepare_coherent_moments_are_monomials():
             assert abs(table[j, k] - np.conj(g) ** j * g**k) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [16, 64, 256])
+def test_banded_moments_match_dense_operators(dim):
+    # tr(rho adag^j a^k) from rho's band against the dense operator product
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x + x.conj().T
+    a, ad = _dense_ladder(dim)
+    got = moments_from_rho(rho)
+    for j in range(5):
+        for k in range(5 - j):
+            op = np.linalg.matrix_power(ad, j) @ np.linalg.matrix_power(a, k)
+            ref = np.einsum("ij,ji->", rho, op)
+            assert abs(got[j, k] - ref) <= 1e-13 * abs(ref)
+
+
 def test_prepare_cat_interference_sign():
     # odd cat (phi = pi) has no even-photon population
     rho = prepare(Cat(1.0, math.pi), 64)

@@ -188,14 +188,15 @@ def test_no_crossing_under_thermal_bath():
 
 
 class _StepProfile:
-    """Stand-in state whose raw profile is piecewise constant in u."""
+    """Stand-in state whose raw profile is piecewise constant in u; like
+    every family's depth, it takes a float or an array."""
 
     def __init__(self, early, middle, late):
         self.levels = (early, middle, late)
 
     def depth(self, u, n_t, m_t):
         early, middle, late = self.levels
-        return early if u > 0.5 else middle if u > 0.25 else late
+        return np.where(u > 0.5, early, np.where(u > 0.25, middle, late))
 
 
 @pytest.mark.parametrize(
