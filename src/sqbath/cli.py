@@ -33,7 +33,6 @@ from .errors import (
     SingularSmoothing,
     TraceDriftExceeded,
     TruncationTooSmall,
-    UnsupportedDescriptor,
 )
 from .evolution import evolve_moments, evolved_means, mandel_q, quadrature_variances
 from .nonclassicality import closed_form_transition_time, tau_profile, transition_time
@@ -463,7 +462,6 @@ def main(argv=None) -> int:
     except (
         DegenerateDenominator,
         SingularSmoothing,
-        UnsupportedDescriptor,
         SeriesDiverges,
         TruncationTooSmall,
         TraceDriftExceeded,

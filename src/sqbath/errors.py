@@ -20,12 +20,8 @@ class DegenerateDenominator(SqbathError):
 class SingularSmoothing(SqbathError):
     """A smoothed-descriptor evaluation was requested where a total
     Gaussian coefficient is not strictly positive, so the density is
-    still distributional and has no pointwise value."""
-
-
-class UnsupportedDescriptor(SqbathError):
-    """The requested descriptor operation has no closed form for this
-    state family (e.g. pointwise evaluation of cat interference)."""
+    still distributional and has no pointwise value, or where the value
+    overflows (a large cat's coherences under little smoothing)."""
 
 
 class SeriesDiverges(SqbathError):

@@ -16,20 +16,16 @@ evaluation, and a binomial moment map for observables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
 from .elementwise import FloatOrArray, emap
-from .errors import DegenerateDenominator, UnsupportedDescriptor
+from .errors import DegenerateDenominator
 from .reservoir import ReservoirParams, mt, nt
 from .states import (
     MAX_ORDER,
-    AddedCoherentPoly,
-    CatInterference,
-    DescriptorTerm,
-    FieldLaplacian,
     MomentTable,
     PDescriptor,
     StateSpec,
@@ -67,41 +63,27 @@ class GaussianSmoothing:
 def evolved_descriptor(state: StateSpec, res: ReservoirParams, t: float) -> PDescriptor:
     """Transport the t = 0 descriptor to time t.
 
-    Centers contract by e^{-Gamma t}; initial Gaussian coefficients damp
-    by e^{-2 Gamma t} and the reservoir coefficients add on top;
-    differential prefactors keep their shape with the chain-rule/damping
-    factor they acquire from the coordinate contraction.
+    Both centres contract by e^{-Gamma t}; the initial Gaussian
+    coefficients damp by e^{-2 Gamma t} and the reservoir coefficients add
+    on top; the prefactor's second- and first-order coefficients pick up
+    the contraction's chain-rule factors e^{-2 Gamma t} and e^{-Gamma t}.
     """
-    base = initial_p_descriptor(state)
     sm = GaussianSmoothing.from_reservoir(res, t)
     k, k2 = sm.scale, sm.scale * sm.scale
-
-    terms = []
-    for term in base.terms:
-        poly = term.poly
-        if isinstance(poly, AddedCoherentPoly):
-            poly = AddedCoherentPoly(poly.gamma0, poly.decay * k)
-        elif isinstance(poly, FieldLaplacian):
-            poly = FieldLaplacian(poly.coeff * k2)
-        terms.append(
-            DescriptorTerm(
-                weight=term.weight,
+    return PDescriptor(
+        tuple(
+            replace(
+                term,
                 center=term.center * k,
+                center_bar=term.center_bar * k,
                 c_r=term.c_r * k2 + sm.add_r,
                 c_i=term.c_i * k2 + sm.add_i,
-                poly=poly,
+                lap=term.lap * k2,
+                grad=term.grad * k,
             )
+            for term in initial_p_descriptor(state).terms
         )
-
-    interference = base.interference
-    if interference is not None:
-        interference = CatInterference(
-            weight=interference.weight,
-            phi=interference.phi,
-            gamma0=interference.gamma0,
-            decay=interference.decay * k,
-        )
-    return PDescriptor(tuple(terms), interference)
+    )
 
 
 def evolve_moments(m0: MomentTable, res: ReservoirParams, t: float) -> MomentTable:
@@ -206,32 +188,27 @@ def quadrature_variances(
 def descriptor_moments(desc: PDescriptor) -> MomentTable:
     """Integrate a descriptor against amplitude monomials.
 
-    Supported term shapes: plain Gaussian-smoothed deltas and field
-    Laplacian prefactors (by parts: the Laplacian of z*^j z^k is
-    4 j k z*^{j-1} z^{k-1}).  Center-coordinate polynomials and cat
-    interference have no closed form here and are rejected; their
-    observables flow through ``evolve_moments`` instead.
+    Each term's smoothed delta gives a Gaussian moment table; its
+    prefactor moves onto the monomial by parts.  With d/dz_r = d + d* and
+    d/dz_i = i (d - d*) (d = d/dz), the Laplacian of z*^j z^k is
+    4 j k z*^{j-1} z^{k-1} and Re(g) d/dz_r + Im(g) d/dz_i is
+    g d + g* d*, so
+
+        m[j, k] += 4 lap j k m[j-1, k-1] - j g* m[j-1, k] - k g m[j, k-1].
     """
-    if desc.interference is not None:
-        raise UnsupportedDescriptor(
-            "cat interference moments are not integrable here; "
-            "use the exact moment route"
-        )
     acc = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=complex)
     for term in desc.terms:
-        base = gaussian_moment_table(term.center, 2.0 * term.c_r, 2.0 * term.c_i)
-        if term.poly is None:
-            acc += term.weight * base.array
-        elif isinstance(term.poly, FieldLaplacian):
-            b = term.poly.coeff
-            part = base.array.copy()
-            for j in range(1, MAX_ORDER + 1):
-                for k in range(1, MAX_ORDER + 1 - j):
-                    part[j, k] += 4.0 * b * j * k * base.array[j - 1, k - 1]
-            acc += term.weight * part
-        else:
-            raise UnsupportedDescriptor(
-                "center-coordinate differential polynomials are not "
-                "integrable here; use the exact moment route"
-            )
+        base = gaussian_moment_table(
+            term.center, term.center_bar, 2.0 * term.c_r, 2.0 * term.c_i
+        ).array
+        part = base.copy()
+        for j in range(MAX_ORDER + 1):
+            for k in range(MAX_ORDER + 1 - j):
+                if j and k:
+                    part[j, k] += 4.0 * term.lap * j * k * base[j - 1, k - 1]
+                if j:
+                    part[j, k] -= j * np.conj(term.grad) * base[j - 1, k]
+                if k:
+                    part[j, k] -= k * term.grad * base[j, k - 1]
+        acc += term.weight * part
     return MomentTable(acc)

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .elementwise import FloatOrArray, emap
-from .errors import ConfigError, ImmediateTransition, SingularSmoothing, UnsupportedDescriptor
+from .errors import ConfigError, ImmediateTransition, SingularSmoothing
 from .evolution import evolved_descriptor
 from .reservoir import ReservoirParams, mt, nt
-from .states import AddedCoherentPoly, FieldLaplacian, StateSpec
+from .states import DescriptorTerm, StateSpec
 
 # Profiles are bracketed for sign changes on the scaled window (0, T_MAX].
 T_MAX_SCALED = 50.0
@@ -164,6 +165,51 @@ def closed_form_transition_time(
 # smoothed densities
 
 
+def _smoothed_term(term: DescriptorTerm, tau: float, z: np.ndarray) -> np.ndarray:
+    """One descriptor term smoothed by tau, on a flat array of points."""
+    big_r = term.c_r + tau / 4.0
+    big_i = term.c_i + tau / 4.0
+    if big_r <= 0.0 or big_i <= 0.0:
+        raise SingularSmoothing(
+            f"total smoothing coefficients must be positive, got "
+            f"({big_r:.3g}, {big_i:.3g}); increase tau or t"
+        )
+    ar, ai = 4.0 * big_r, 4.0 * big_i
+    x0 = 0.5 * (term.center + term.center_bar)
+    y0 = 0.5j * (term.center_bar - term.center)
+    if term.in_density:  # real axis centres: keep the arithmetic real
+        x0, y0 = x0.real, y0.real
+    # On a scan grid a fresh array costs more than the arithmetic, so four
+    # buffers are reused in place.  The exponent keeps the order
+    # -u^2/a_r - v^2/a_i, and a prefactor of exactly 1 leaves a plain
+    # Gaussian term's bytes alone.
+    u = z.real - x0
+    v = z.imag - y0
+    eu, ev = u / ar, v / ai
+    u *= u
+    u /= ar
+    v *= v
+    v /= ai
+    np.negative(u, out=u)
+    u -= v
+    gauss = np.exp(u, out=u)
+    gauss /= math.pi * math.sqrt(ar * ai)
+    # (1 + lap (d_x^2 + d_y^2) + Re(grad) d_x + Im(grad) d_y) gauss
+    #   = gauss [(4 lap e_u - 2 Re(grad)) e_u + (4 lap e_v - 2 Im(grad)) e_v
+    #            + 1 - 2 lap (1/a_r + 1/a_i)],  e_u = u/a_r, e_v = v/a_i
+    pre = np.multiply(eu, 4.0 * term.lap, out=v)
+    pre -= 2.0 * term.grad.real
+    pre *= eu
+    pre_i = np.multiply(ev, 4.0 * term.lap, out=eu)
+    pre_i -= 2.0 * term.grad.imag
+    pre_i *= ev
+    pre += pre_i
+    pre += 1.0 - 2.0 * term.lap * (1.0 / ar + 1.0 / ai)
+    gauss *= pre
+    gauss *= term.weight
+    return gauss
+
+
 def r_function_grid(
     state: StateSpec,
     res: ReservoirParams,
@@ -175,57 +221,29 @@ def r_function_grid(
 
     tau = 0 gives the evolved diagonal weight itself (legal once the
     reservoir smoothing has made every coefficient strictly positive);
-    tau = 1 gives the Husimi density.  Cat states are rejected: their
-    interference term is carried as metadata, not as an evaluatable
-    kernel.
+    tau = 1 gives the Husimi density.  Each term is a Gaussian of axis
+    widths a = 4 (c + tau/4) times its prefactor.  A cat's coherences have
+    complex axis centres and come in conjugate pairs, so the sum is real
+    up to rounding, and its real part is returned.  Raises
+    SingularSmoothing where a coefficient is not positive, or where the
+    sum overflows: a coherence with complex axis centres (x0, y0) grows
+    like e^{(Im x0)^2 / a_r + (Im y0)^2 / a_i}.
     """
     if tau < 0.0:
         raise ConfigError(f"tau must be >= 0, got {tau}")
     desc = evolved_descriptor(state, res, t)
-    if desc.interference is not None:
-        raise UnsupportedDescriptor(
-            "cat densities have no pointwise closed form here"
-        )
     z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape, dtype=float)
-    for term in desc.terms:
-        big_r = term.c_r + tau / 4.0
-        big_i = term.c_i + tau / 4.0
-        if big_r <= 0.0 or big_i <= 0.0:
-            raise SingularSmoothing(
-                f"total smoothing coefficients must be positive, got "
-                f"({big_r:.3g}, {big_i:.3g}); increase tau or t"
-            )
-        ar, ai = 4.0 * big_r, 4.0 * big_i
-        u = z.real - term.center.real
-        v = z.imag - term.center.imag
-        gauss = np.exp(-u * u / ar - v * v / ai) / (math.pi * math.sqrt(ar * ai))
-
-        poly = term.poly
-        if poly is None:
-            val = gauss
-        elif isinstance(poly, FieldLaplacian):
-            b = poly.coeff
-            val = gauss * (
-                1.0
-                + b * ((4.0 * u * u / ar - 2.0) / ar + (4.0 * v * v / ai - 2.0) / ai)
-            )
-        elif isinstance(poly, AddedCoherentPoly):
-            g0, k = poly.gamma0, poly.decay
-            k2 = k * k
-            norm4 = 4.0 * (abs(g0) ** 2 + 1.0)
-            bracket = (
-                (4.0 * k2 * u * u / ar - 2.0 * k2) / ar
-                + (4.0 * k2 * v * v / ai - 2.0 * k2) / ai
-                + 8.0 * g0.real * k * u / ar
-                + 8.0 * g0.imag * k * v / ai
-                + norm4
-            )
-            val = gauss * bracket / norm4
-        else:  # pragma: no cover - defensive
-            raise UnsupportedDescriptor(f"unknown prefactor {type(poly).__name__}")
-        out += term.weight * val
-    return out
+    flat = z.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        terms = (_smoothed_term(term, tau, flat) for term in desc.terms)
+        out = np.real(reduce(np.add, terms))
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise SingularSmoothing(
+            f"smoothed density overflows at {finite.size - finite.sum()} of "
+            f"{finite.size} points; increase tau or t"
+        )
+    return out.reshape(z.shape)
 
 
 def r_function(
@@ -246,10 +264,16 @@ def _scan_points(desc_center: complex, half_width: float, step: float) -> np.nda
     return xs[None, :] + 1j * ys[:, None]
 
 
-def _mean_center(state: StateSpec, res: ReservoirParams, t: float) -> complex:
-    desc = evolved_descriptor(state, res, t)
-    w = sum(term.weight for term in desc.terms)
-    return sum(term.weight * term.center for term in desc.terms) / w
+def _scan_window(
+    state: StateSpec, res: ReservoirParams, t: float
+) -> tuple[complex, float]:
+    """Centre and half-width of the standard scan window."""
+    density = [
+        term for term in evolved_descriptor(state, res, t).terms if term.in_density
+    ]
+    w = sum(term.weight for term in density)
+    center = sum(term.weight * term.center for term in density) / w
+    return center, 5.0 + max(abs(term.center) for term in density)
 
 
 def min_r_on_grid(
@@ -259,10 +283,11 @@ def min_r_on_grid(
     tau: float,
     step: float = 0.05,
 ) -> float:
-    """Minimum of the smoothed weight over the standard scan window
-    (half-width 5 + |center|, centered on the descriptor's mean center)."""
-    center = _mean_center(state, res, t)
-    z = _scan_points(center, 5.0 + abs(center), step)
+    """Minimum of the smoothed weight over the standard scan window:
+    centred on the weighted mean centre of the density terms (a cat's
+    coherences left out), half-width 5 + their largest |center|."""
+    center, half_width = _scan_window(state, res, t)
+    z = _scan_points(center, half_width, step)
     return float(r_function_grid(state, res, t, tau, z).min())
 
 

@@ -9,10 +9,13 @@ Two exact representations are produced for each:
 * a ``MomentTable`` of normally ordered moments <a^dag^j a^k> up to total
   order 4, computed in closed form;
 * a ``PDescriptor``: the state's diagonal-coherent-state weight written as
-  a sum of (weight, delta center, Gaussian smoothing coefficients,
-  optional differential-polynomial prefactor) terms.  Cat states carry
-  their oscillatory interference as metadata rather than as an
-  evaluatable term.
+  a sum of ``DescriptorTerm``s, each a weight times a first- and
+  second-order differential prefactor times a Gaussian-smoothed delta.
+  Every family uses the same term shape.  A cat's coherences
+  |gamma><-gamma| and |-gamma><gamma| are terms too: their normally
+  ordered characteristic function is that of a delta whose z and z*
+  centres are not complex conjugates, so once smoothed they are Gaussians
+  with complex axis centres and complex weights.
 
 Gaussian-family moments come from one formal-moment helper that accepts
 *signed* axis variances (a squeezed axis has a negative formal variance;
@@ -59,10 +62,11 @@ class Coherent:
         object.__setattr__(self, "gamma", complex(self.gamma))
 
     def moments(self) -> MomentTable:
-        return gaussian_moment_table(self.gamma, 0.0, 0.0)
+        return gaussian_moment_table(self.gamma, np.conj(self.gamma), 0.0, 0.0)
 
     def descriptor(self) -> PDescriptor:
-        return PDescriptor((DescriptorTerm(1.0, self.gamma, 0.0, 0.0),))
+        term = DescriptorTerm(1.0, self.gamma, np.conj(self.gamma), 0.0, 0.0)
+        return PDescriptor((term,))
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """|M_t| - N_t."""
@@ -84,11 +88,11 @@ class Thermal:
             raise ConfigError(f"thermal nbar must be >= 0, got {self.nbar}")
 
     def moments(self) -> MomentTable:
-        return gaussian_moment_table(0.0, self.nbar / 2.0, self.nbar / 2.0)
+        return gaussian_moment_table(0.0, 0.0, self.nbar / 2.0, self.nbar / 2.0)
 
     def descriptor(self) -> PDescriptor:
         c = self.nbar / 4.0
-        return PDescriptor((DescriptorTerm(1.0, 0.0, c, c),))
+        return PDescriptor((DescriptorTerm(1.0, 0.0, 0.0, c, c),))
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """|M_t| - (N_t + nbar u)."""
@@ -123,13 +127,15 @@ class SqueezedCoherent:
 
     def moments(self) -> MomentTable:
         s = self.s
-        return gaussian_moment_table(self.gamma, (1.0 - s) / (4.0 * s), (s - 1.0) / 4.0)
+        return gaussian_moment_table(
+            self.gamma, np.conj(self.gamma), (1.0 - s) / (4.0 * s), (s - 1.0) / 4.0
+        )
 
     def descriptor(self) -> PDescriptor:
         s = self.s
-        return PDescriptor(
-            (DescriptorTerm(1.0, self.gamma, (1.0 - s) / (8.0 * s), -(1.0 - s) / 8.0),)
-        )
+        c_r, c_i = (1.0 - s) / (8.0 * s), -(1.0 - s) / 8.0
+        term = DescriptorTerm(1.0, self.gamma, np.conj(self.gamma), c_r, c_i)
+        return PDescriptor((term,))
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """Max of the two quadrature branches
@@ -177,9 +183,12 @@ class PhotonAddedCoherent:
         return MomentTable.build(lambda j, k: _added_photon_entry(coherent_base, j, k))
 
     def descriptor(self) -> PDescriptor:
-        return PDescriptor(
-            (DescriptorTerm(1.0, self.gamma, 0.0, 0.0, AddedCoherentPoly(self.gamma)),)
+        norm = abs(self.gamma) ** 2 + 1.0
+        term = DescriptorTerm(
+            1.0, self.gamma, np.conj(self.gamma), 0.0, 0.0,
+            lap=1.0 / (4.0 * norm), grad=-self.gamma / norm,
         )
+        return PDescriptor((term,))
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """u/2 + sqrt(u^2/4 + M_t^2) - N_t, free of the amplitude."""
@@ -219,9 +228,8 @@ class PhotonAddedThermal:
 
     def descriptor(self) -> PDescriptor:
         c = self.nbar / 4.0
-        return PDescriptor(
-            (DescriptorTerm(1.0, 0.0, c, c, FieldLaplacian((self.nbar + 1.0) / 4.0)),)
-        )
+        term = DescriptorTerm(1.0, 0.0, 0.0, c, c, lap=(self.nbar + 1.0) / 4.0)
+        return PDescriptor((term,))
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """(nbar+1)u/2 + sqrt(((nbar+1)u/2)^2 + M_t^2) - (N_t + nbar u)."""
@@ -281,14 +289,19 @@ class Cat:
         return MomentTable.build(entry)
 
     def descriptor(self) -> PDescriptor:
+        """The two lobes, and the coherences e^{-i phi} |g><-g| and
+        e^{i phi} |-g><g|, weighted by their overlap <-g|g> = e^{-2|g|^2}."""
+        g, gc = self.gamma, np.conj(self.gamma)
         w = 1.0 / (2.0 * self.norm_factor)
-        olap = math.exp(-2.0 * abs(self.gamma) ** 2)
+        cross = w * math.exp(-2.0 * abs(g) ** 2)
+        eip = complex(math.cos(self.phi), math.sin(self.phi))
         return PDescriptor(
             (
-                DescriptorTerm(w, self.gamma, 0.0, 0.0),
-                DescriptorTerm(w, -self.gamma, 0.0, 0.0),
-            ),
-            interference=CatInterference(2.0 * w * olap, self.phi, self.gamma),
+                DescriptorTerm(w, g, gc, 0.0, 0.0),
+                DescriptorTerm(w, -g, -gc, 0.0, 0.0),
+                DescriptorTerm(cross * eip.conjugate(), g, -gc, 0.0, 0.0),
+                DescriptorTerm(cross * eip, -g, gc, 0.0, 0.0),
+            )
         )
 
     # the depth profile is the photon-added coherent one, term for term
@@ -420,11 +433,14 @@ def complex_noise_moments(var_r: float, var_i: float, order: int = MAX_ORDER) ->
     return x
 
 
-def gaussian_moment_table(center: complex, var_r: float, var_i: float) -> MomentTable:
-    """Moment table of beta = center + xi for the formal Gaussian noise
-    described by ``complex_noise_moments``."""
+def gaussian_moment_table(
+    center: complex, center_bar: complex, var_r: float, var_i: float
+) -> MomentTable:
+    """Moment table of beta = center + xi, beta* = center_bar + xi*, for
+    the formal Gaussian noise described by ``complex_noise_moments``.
+    A density has center_bar = conj(center); a coherence does not."""
     x = complex_noise_moments(var_r, var_i)
-    cc = np.conj(center)
+    cc = center_bar
 
     def entry(j: int, k: int) -> complex:
         acc = 0.0 + 0.0j
@@ -464,67 +480,40 @@ def initial_moments(state: StateSpec) -> MomentTable:
 
 
 @dataclass(frozen=True)
-class AddedCoherentPoly:
-    """Differential polynomial of a photon-added coherent term, written in
-    the coordinates of the *initial* amplitude gamma0:
-
-        [ (d²/dg_r² + d²/dg_i²) + 4 (g_r d/dg_r + g_i d/dg_i)
-          + 4 (|gamma0|² + 1) ] / (4 (|gamma0|² + 1))
-
-    ``decay`` is d(center)/d(gamma0) = e^{-Gamma t}, the chain-rule factor
-    picked up whenever a gamma0-derivative hits the term's delta/Gaussian.
-    """
-
-    gamma0: complex
-    decay: float = 1.0
-
-
-@dataclass(frozen=True)
-class FieldLaplacian:
-    """Prefactor 1 + coeff (d²/dz_r² + d²/dz_i²) in field coordinates."""
-
-    coeff: float
-
-
-Prefactor = Union[AddedCoherentPoly, FieldLaplacian]
-
-
-@dataclass(frozen=True)
 class DescriptorTerm:
-    """weight x poly x exp(c_r d²/dz_r² + c_i d²/dz_i²) delta²(z - center).
+    """weight x (1 + lap (d²/dz_r² + d²/dz_i²) + Re(grad) d/dz_r + Im(grad) d/dz_i)
+    x exp(c_r d²/dz_r² + c_i d²/dz_i²) delta²(z - center).
+
+    ``center`` and ``center_bar`` are the centres of z and of z*.  A term
+    of the density itself has center_bar = conj(center) and a real weight.
+    A coherence c |a><b| has center = a, center_bar = conj(b) and the
+    complex weight c <b|a>; its axis centres (center + center_bar)/2 and
+    (center - center_bar)/2i are complex, and once smoothed it is the
+    analytic continuation of a Gaussian.
 
     A strictly positive pair (c_r, c_i) makes the term a genuine
-    (polynomial x Gaussian) density; a negative coefficient marks an axis
+    (polynomial x Gaussian) kernel; a negative coefficient marks an axis
     squeezed below the delta scale, which only ever appears inside
     further-smoothed evaluations.
     """
 
-    weight: float
+    weight: complex
     center: complex
+    center_bar: complex
     c_r: float
     c_i: float
-    poly: Prefactor | None = None
+    lap: float = 0.0
+    grad: complex = 0.0
 
-
-@dataclass(frozen=True)
-class CatInterference:
-    """Oscillatory interference metadata of a cat descriptor.
-
-    Carried for bookkeeping only — never evaluated pointwise; cat
-    observables flow through exact moments and closed-form depth
-    expressions instead.  ``weight`` already includes the cat norm.
-    """
-
-    weight: float
-    phi: float
-    gamma0: complex
-    decay: float = 1.0
+    @property
+    def in_density(self) -> bool:
+        """True for a term of the diagonal weight, False for a coherence."""
+        return self.center_bar == np.conj(self.center)
 
 
 @dataclass(frozen=True)
 class PDescriptor:
     terms: tuple[DescriptorTerm, ...]
-    interference: CatInterference | None = None
 
 
 def initial_p_descriptor(state: StateSpec) -> PDescriptor:

@@ -17,7 +17,6 @@ from sqbath import (
     ReservoirParams,
     SqueezedCoherent,
     Thermal,
-    UnsupportedDescriptor,
     evolve_moments,
     evolved_descriptor,
     evolved_means,
@@ -171,22 +170,19 @@ def test_squeezed_descriptor_evolution():
         Thermal(1.3),
         SqueezedCoherent(0.5, 0.7),
         PhotonAddedThermal(1.0),
+        PhotonAddedCoherent(1.0 + 0.5j),
+        Cat(1.0 + 0.3j, 0.7),
     ],
 )
 @pytest.mark.parametrize("gt", [0.15, 0.8, 2.0])
 def test_descriptor_and_moment_routes_agree(state, gt):
     # the same physics two ways: binomial noise expansion of the moment
-    # table vs direct integration of the transported descriptor
+    # table vs direct integration of the transported descriptor, its
+    # prefactors moved onto the monomials by parts and a cat's coherences
+    # integrated about their complex centres
     direct = evolve_moments(initial_moments(state), R_SAT, gt)
     via_descriptor = descriptor_moments(evolved_descriptor(state, R_SAT, gt))
     np.testing.assert_allclose(direct.array, via_descriptor.array, atol=1e-12)
-
-
-def test_moment_route_required_for_polynomial_centers():
-    with pytest.raises(UnsupportedDescriptor):
-        descriptor_moments(evolved_descriptor(PhotonAddedCoherent(1.0), R_SAT, 0.5))
-    with pytest.raises(UnsupportedDescriptor):
-        descriptor_moments(evolved_descriptor(Cat(1.0, 0.0), R_SAT, 0.5))
 
 
 @settings(max_examples=60)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from sqbath import (
     SingularSmoothing,
     SqueezedCoherent,
     Thermal,
-    UnsupportedDescriptor,
     classicality_onset_by_scan,
     closed_form_transition_time,
     gaussian_tau_from_covariance,
@@ -33,6 +33,7 @@ from sqbath import (
     transition_time,
 )
 from sqbath import fock_oracle
+from sqbath.nonclassicality import NEGATIVITY_THRESHOLD
 
 SQRT2 = math.sqrt(2.0)
 R_SAT = ReservoirParams(N=1.0, M=-SQRT2)
@@ -264,6 +265,9 @@ def test_full_smoothing_recovers_husimi_for_coherent():
         # the squeezed tail needs the taller ladder, and RK4's stability
         # limit shrinks with dim, hence the smaller step
         (SqueezedCoherent(1.0, 1.0), 128, 5e-4),
+        # the coherences' complex-centred Gaussians against the oracle
+        (Cat(1.0 + 0.3j, 0.7), 64, None),
+        (Cat(1.0, math.pi), 64, None),
     ],
 )
 def test_full_smoothing_matches_fock_husimi(state, dim, dt):
@@ -287,9 +291,36 @@ def test_singular_smoothing_below_threshold():
     assert np.isfinite(r_function(state, R_MIX, 0.0, 0.9, 0.0))
 
 
-def test_cat_density_not_evaluatable():
-    with pytest.raises(UnsupportedDescriptor):
-        r_function(Cat(1.0, 0.0), R_MIX, 0.3, 1.0, 0.0)
+@pytest.mark.parametrize("state", [Cat(1.0, 0.0), Cat(0.8 - 0.6j, 2.0)])
+def test_cat_husimi_closed_form(state):
+    # Q(z) = |<z|g> + e^{i phi} <z|-g>|^2 / (2 pi norm) at t = 0, with
+    # <z|b> = exp(-|z|^2/2 - |b|^2/2 + z* b)
+    g = state.gamma
+
+    def overlap(z, b):
+        return cmath.exp(-abs(z) ** 2 / 2.0 - abs(b) ** 2 / 2.0 + z.conjugate() * b)
+
+    for z in (0.0j, 0.3 + 0.4j, -1.1 + 0.2j, 0.5j):
+        amp = overlap(z, g) + cmath.exp(1j * state.phi) * overlap(z, -g)
+        expected = abs(amp) ** 2 / (2.0 * math.pi * state.norm_factor)
+        assert r_function(state, R_MIX, 0.0, 1.0, z) == pytest.approx(
+            expected, abs=1e-14
+        )
+
+
+def test_overflowing_coherences_are_reported():
+    # at small smoothing a large cat's coherences, Gaussians about complex
+    # axis centres, overflow at 3 631 of these 58 081 points; a NaN would
+    # pass the scans' negativity test as nonnegative
+    state, gt = Cat(4.0, 0.0), 0.01
+    xs = np.linspace(-6.0, 6.0, 241)
+    z = xs[None, :] + 1j * xs[:, None]
+    with pytest.raises(SingularSmoothing, match="3631 of 58081.*increase tau or t"):
+        r_function_grid(state, R_MIX, gt, 0.0, z)
+    with pytest.raises(SingularSmoothing, match="increase tau or t"):
+        min_r_on_grid(state, R_MIX, gt, 0.0)
+    # the Husimi density of the same state is finite and nonnegative
+    assert min_r_on_grid(state, R_MIX, gt, 1.0) >= NEGATIVITY_THRESHOLD
 
 
 def test_negative_tau_rejected():
@@ -304,6 +335,7 @@ def test_negative_tau_rejected():
         (PhotonAddedCoherent(1.0), 0.1, 0.6),
         (SqueezedCoherent(0.5, 0.8), 0.5, 1.0),
         (PhotonAddedThermal(1.0), 0.2, 0.5),
+        (Cat(1.0 + 0.3j, 0.7), 0.1, 0.6),
     ],
 )
 def test_smoothed_density_normalization(state, gt, tau):
@@ -315,8 +347,15 @@ def test_smoothed_density_normalization(state, gt, tau):
     assert vals.sum() * step * step == pytest.approx(1.0, abs=1e-6)
 
 
-def test_depth_scan_matches_closed_form():
-    state, res, gt = PhotonAddedCoherent(1.0), R_MIX, 0.1
+@pytest.mark.parametrize(
+    "state",
+    [PhotonAddedCoherent(1.0), Cat(1.0, 0.0), Cat(2.0, 0.0), Cat(1.0, math.pi)],
+)
+@pytest.mark.parametrize("res", [R_MIX, R_TH])
+@pytest.mark.parametrize("gt", [0.01, 0.1])
+def test_depth_scan_matches_closed_form(state, res, gt):
+    # a cat's closed-form row is the photon-added coherent one (criterion
+    # 8); the scan checks it on the cat's own density, coherences included
     scanned = tau_m_by_negativity_scan(state, res, gt, tol=1e-3)
     assert abs(scanned - tau_m(state, res, gt)) <= 5e-3
 

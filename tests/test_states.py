@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -191,7 +192,8 @@ def test_thermal_descriptor():
     assert term.center == 0.0
     assert term.c_r == 0.25
     assert term.c_i == 0.25
-    assert term.poly is None
+    assert term.center_bar == 0.0
+    assert term.lap == 0.0 and term.grad == 0.0
 
 
 def test_coherent_descriptor_is_bare_delta():
@@ -234,29 +236,43 @@ def test_squeezed_variance_split():
 
 
 def test_cat_descriptor_structure():
-    state = Cat(1.0, 0.5)
-    desc = initial_p_descriptor(state)
-    centers = sorted(t.center.real for t in desc.terms)
-    assert centers == [-1.0, 1.0]
-    assert all(t.c_r == 0.0 and t.c_i == 0.0 for t in desc.terms)
-    assert desc.interference is not None
-    assert desc.interference.phi == 0.5
-    w = desc.terms[0].weight
-    assert desc.interference.weight == pytest.approx(
-        2.0 * w * math.exp(-2.0), abs=1e-15
+    state = Cat(1.0 + 0.5j, 0.5)
+    g, gc = state.gamma, state.gamma.conjugate()
+    terms = initial_p_descriptor(state).terms
+    # two lobes, then the coherences |g><-g| and |-g><g|: the centres of
+    # z and z* are (g, -g*) and (-g, g*)
+    assert [(t.center, t.center_bar) for t in terms] == [
+        (g, gc), (-g, -gc), (g, -gc), (-g, gc)
+    ]
+    assert [t.in_density for t in terms] == [True, True, False, False]
+    assert all(
+        t.c_r == 0.0 and t.c_i == 0.0 and t.lap == 0.0 and t.grad == 0.0
+        for t in terms
     )
-    # delta weights + interference weight integrate to 1 at phi = 0
-    even = initial_p_descriptor(Cat(1.0, 0.0))
-    total = sum(t.weight for t in even.terms) + even.interference.weight
-    assert total == pytest.approx(1.0, abs=1e-14)
+    w = 1.0 / (2.0 * state.norm_factor)
+    assert terms[0].weight == terms[1].weight == pytest.approx(w, abs=1e-15)
+    # <-g|g> = e^{-2|g|^2}, with the phases e^{-i phi} and e^{+i phi}
+    cross = w * math.exp(-2.0 * abs(g) ** 2)
+    assert terms[2].weight == pytest.approx(cross * cmath.exp(-0.5j), abs=1e-15)
+    assert terms[3].weight == pytest.approx(cross * cmath.exp(0.5j), abs=1e-15)
+    # the weights integrate to tr(rho) = 1
+    assert sum(t.weight for t in terms) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_added_thermal_descriptor_prefactor():
-    desc = initial_p_descriptor(PhotonAddedThermal(2.0))
-    (term,) = desc.terms
+    (term,) = initial_p_descriptor(PhotonAddedThermal(2.0)).terms
     assert term.c_r == 0.5
-    assert term.poly is not None
-    assert term.poly.coeff == pytest.approx(0.75, abs=1e-15)
+    assert term.lap == pytest.approx(0.75, abs=1e-15)
+    assert term.grad == 0.0
+
+
+def test_added_coherent_descriptor_prefactor():
+    g = 1.0 - 0.5j
+    (term,) = initial_p_descriptor(PhotonAddedCoherent(g)).terms
+    assert (term.center, term.center_bar) == (g, g.conjugate())
+    assert term.c_r == 0.0 and term.c_i == 0.0
+    assert term.lap == pytest.approx(1.0 / 9.0, abs=1e-15)
+    assert term.grad == pytest.approx(-g / 2.25, abs=1e-15)
 
 
 def test_invalid_parameters_rejected():
