@@ -20,20 +20,13 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import fock_oracle
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    ImmediateTransition,
-    SeriesDiverges,
-    SingularSmoothing,
-    TraceDriftExceeded,
-    TruncationTooSmall,
-)
+from .errors import ConfigError, DegenerateDenominator, ImmediateTransition, SqbathError
 from .evolution import evolve_moments, evolved_means, mandel_q, quadrature_variances
 from .nonclassicality import closed_form_transition_time, tau_profile, transition_time
 from .plotting import write_figures
@@ -66,6 +59,8 @@ class TimeGrid:
             raise ConfigError(f"time_grid.step must be > 0, got {self.step}")
         if self.stop <= self.start:
             raise ConfigError("time_grid.stop must exceed time_grid.start")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ConfigError("time_grid: the number of rows is not finite")
 
     def points(self) -> np.ndarray:
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9))
@@ -78,145 +73,165 @@ class OracleConfig:
     dim: int = fock_oracle.DEFAULT_DIM
     dt: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise ConfigError(f"oracle.dim must be >= 2, got {self.dim}")
+        if self.dt is not None and not (self.dt > 0.0):
+            raise ConfigError(f"oracle.dt must be > 0, got {self.dt}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     state: StateSpec
     reservoir: ReservoirParams
     time_grid: TimeGrid
-    outputs: frozenset = ALL_OUTPUTS
+    outputs: frozenset[str] = ALL_OUTPUTS
     oracle: OracleConfig = field(default_factory=OracleConfig)
+
+    def __post_init__(self) -> None:
+        if not self.outputs:
+            raise ConfigError("outputs: expected a nonempty list")
+        bad = self.outputs - ALL_OUTPUTS
+        if bad:
+            raise ConfigError(f"outputs: unknown entries {sorted(bad)}")
 
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# A section is read into its dataclass: the fields are the section's keys,
+# a field default makes a key optional, the field type picks the reader
+# below, and the class's __post_init__ checks the ranges.  ``where`` is the
+# dotted path of the value in the document, for the error messages.
 
 
-def _num(obj: dict, key: str, where: str, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    v = obj[key]
+def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+        raise ConfigError(f"{where}: expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+    return x
 
 
-def _complex_field(obj: dict, key: str, where: str) -> complex:
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    v = obj[key]
+def _complex(v, where: str) -> complex:
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_number(v[0], f"{where}[0]"), _number(v[1], f"{where}[1]"))
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v, 0.0)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
-    ):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{where}.{key}: expected a number or [re, im], got {v!r}")
+        return complex(_number(v, where), 0.0)
+    raise ConfigError(f"{where}: expected a number or [re, im], got {v!r}")
 
 
-# config kind -> (class, fields, field types): a family's config keys are
-# the fields of its dataclass
-_STATE_KINDS = {
-    cls.kind: (cls, fields(cls), get_type_hints(cls)) for cls in get_args(StateSpec)
+def _exactly(tp: type, what: str):
+    """Reader of a value of type tp itself (a bool is no int here)."""
+
+    def read(v, where: str):
+        if type(v) is not tp:
+            raise ConfigError(f"{where}: expected {what}, got {v!r}")
+        return v
+
+    return read
+
+
+def _names(v, where: str) -> frozenset[str]:
+    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+        raise ConfigError(f"{where}: expected a list of strings, got {v!r}")
+    return frozenset(v)
+
+
+def _object(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where or 'config root'}: expected an object")
+    return v
+
+
+@cache
+def _section(cls):
+    """Reader of one dataclass section; type hints are resolved once."""
+    hints = get_type_hints(cls)
+    keys = [
+        (f.name, f.default is MISSING and f.default_factory is MISSING,
+         _reader(hints[f.name]))
+        for f in fields(cls)
+    ]
+
+    def read(obj, where: str):
+        obj = _object(obj, where)
+        args = {}
+        for name, required, read_value in keys:
+            if name in obj:
+                args[name] = read_value(obj[name], f"{where}.{name}" if where else name)
+            elif required:
+                raise ConfigError(f"{where or 'config'}: missing required field '{name}'")
+        return cls(**args)
+
+    return read
+
+
+def _kinds(classes):
+    """Reader of a section that names its dataclass by a ``kind`` key."""
+    by_kind = {cls.kind: _section(cls) for cls in classes}
+
+    def read(obj, where: str):
+        kind = _object(obj, where).get("kind")
+        if not isinstance(kind, str) or kind not in by_kind:
+            raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+        return by_kind[kind](obj, where)
+
+    return read
+
+
+def _reservoir(obj, where: str) -> ReservoirParams:
+    # (N, M) keys give the effective reservoir, otherwise the physical one
+    if "N" in _object(obj, where) or "M" in obj:
+        return _section(ReservoirParams)(obj, where)
+    return from_physical(_section(PhysicalReservoirSpec)(obj, where))
+
+
+# the field types whose reader is not derived from the type itself
+_READERS = {
+    float: _number,
+    complex: _complex,
+    int: _exactly(int, "an integer"),
+    bool: _exactly(bool, "true/false"),
+    frozenset[str]: _names,
+    ReservoirParams: _reservoir,
 }
 
 
+@cache
+def _reader(tp):
+    if tp in _READERS:
+        return _READERS[tp]
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        (inner,) = set(args) - {type(None)}
+        read_inner = _reader(inner)
+        return lambda v, where: None if v is None else read_inner(v, where)
+    if args:
+        return _kinds(args)
+    return _section(tp)
+
+
 def parse_state(obj) -> StateSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("state: expected an object")
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _STATE_KINDS:
-        raise ConfigError(f"state.kind: unknown kind {kind!r}")
-    cls, cls_fields, types = _STATE_KINDS[kind]
-    args = {}
-    for f in cls_fields:
-        if f.name in obj or f.default is MISSING:
-            read = _complex_field if types[f.name] is complex else _num
-            args[f.name] = read(obj, f.name, "state")
-    return cls(**args)
+    return _reader(StateSpec)(obj, "state")
 
 
 def parse_reservoir(obj) -> ReservoirParams:
-    if not isinstance(obj, dict):
-        raise ConfigError("reservoir: expected an object")
-    gamma = _num(obj, "gamma", "reservoir", default=1.0)
-    if "N" in obj or "M" in obj:
-        return ReservoirParams(
-            N=_num(obj, "N", "reservoir"),
-            M=_num(obj, "M", "reservoir"),
-            gamma=gamma,
-        )
-    spec = PhysicalReservoirSpec(
-        nbar0=_num(obj, "nbar0", "reservoir"),
-        r=_num(obj, "r", "reservoir"),
-        theta=_num(obj, "theta", "reservoir", default=math.pi),
-    )
-    return from_physical(spec, gamma=gamma)
+    return _reservoir(obj, "reservoir")
+
+
+# stands in for the grid of a config that needs none (transition-time)
+_NO_GRID = {"start": 0.0, "stop": 1.0, "step": 1.0}
 
 
 def parse_config(doc, *, need_grid: bool = True) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    if "state" not in doc:
-        raise ConfigError("config: missing required field 'state'")
-    if "reservoir" not in doc:
-        raise ConfigError("config: missing required field 'reservoir'")
-    state = parse_state(doc["state"])
-    reservoir = parse_reservoir(doc["reservoir"])
-
-    if "time_grid" in doc:
-        tg_obj = doc["time_grid"]
-        if not isinstance(tg_obj, dict):
-            raise ConfigError("time_grid: expected an object")
-        grid = TimeGrid(
-            start=_num(tg_obj, "start", "time_grid"),
-            stop=_num(tg_obj, "stop", "time_grid"),
-            step=_num(tg_obj, "step", "time_grid"),
-        )
-    elif need_grid:
-        raise ConfigError("config: missing required field 'time_grid'")
-    else:
-        grid = TimeGrid(0.0, 1.0, 1.0)
-
-    outputs = ALL_OUTPUTS
-    if "outputs" in doc:
-        raw = doc["outputs"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("outputs: expected a nonempty list")
-        bad = set(raw) - ALL_OUTPUTS
-        if bad:
-            raise ConfigError(f"outputs: unknown entries {sorted(bad)}")
-        outputs = frozenset(raw)
-
-    oracle = OracleConfig()
-    if "oracle" in doc:
-        ob = doc["oracle"]
-        if not isinstance(ob, dict):
-            raise ConfigError("oracle: expected an object")
-        enabled = ob.get("enabled", False)
-        if not isinstance(enabled, bool):
-            raise ConfigError("oracle.enabled: expected true/false")
-        dim = ob.get("dim", fock_oracle.DEFAULT_DIM)
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-            raise ConfigError(f"oracle.dim: expected an integer >= 2, got {dim!r}")
-        dt = None
-        if ob.get("dt") is not None:
-            dt = _num(ob, "dt", "oracle")
-            if dt <= 0.0:
-                raise ConfigError(f"oracle.dt: must be > 0, got {dt}")
-        oracle = OracleConfig(enabled=enabled, dim=dim, dt=dt)
-
-    return RunConfig(
-        state=state,
-        reservoir=reservoir,
-        time_grid=grid,
-        outputs=outputs,
-        oracle=oracle,
-    )
+    if not need_grid and isinstance(doc, dict) and "time_grid" not in doc:
+        doc = {**doc, "time_grid": _NO_GRID}
+    return _section(RunConfig)(doc, "")
 
 
 def load_config(path: str, *, need_grid: bool = True) -> RunConfig:
@@ -225,6 +240,10 @@ def load_config(path: str, *, need_grid: bool = True) -> RunConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer literal past Python's digit limit, or
+        # nesting deeper than the decoder's recursion limit
+        raise ConfigError(f"{path}: unreadable JSON: {exc}")
     return parse_config(doc, need_grid=need_grid)
 
 
@@ -435,16 +454,12 @@ def _run(args) -> int:
 
     if args.command == "validate":
         cfg = load_config(args.config)
-        oracle = cfg.oracle
+        oracle = cfg.oracle  # replace re-runs OracleConfig's range checks
         if args.oracle:
             oracle = replace(oracle, enabled=True)
         if args.dim is not None:
-            if args.dim < 2:
-                raise ConfigError(f"--dim must be >= 2, got {args.dim}")
             oracle = replace(oracle, dim=args.dim)
         if args.dt is not None:
-            if args.dt <= 0.0:
-                raise ConfigError(f"--dt must be > 0, got {args.dt}")
             oracle = replace(oracle, dt=args.dt)
         return cmd_validate(replace(cfg, oracle=oracle), sys.stdout)
 
@@ -459,13 +474,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DegenerateDenominator,
-        SingularSmoothing,
-        SeriesDiverges,
-        TruncationTooSmall,
-        TraceDriftExceeded,
-    ) as exc:
+    except SqbathError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -29,6 +29,9 @@ T_MAX_SCALED = 50.0
 _BISECT_TOL = 1e-10
 # A grid minimum above this threshold counts as "nonnegative" in scans.
 NEGATIVITY_THRESHOLD = -1e-12
+# Scan grid spacing, and the width at which a scan's bisection stops.
+SCAN_STEP = 0.05
+SCAN_TOL = 1e-3
 # A raw profile this close to zero at t = 0 starts on the boundary: it
 # counts as zero in the crossing scan, and leaving it into the
 # nonclassical side is an immediate transition.
@@ -257,10 +260,10 @@ def r_function(
 # grid scans (numeric validation of the closed-form profiles)
 
 
-def _scan_points(desc_center: complex, half_width: float, step: float) -> np.ndarray:
-    n = int(round(2.0 * half_width / step))
-    xs = desc_center.real + (np.arange(n + 1) - n / 2.0) * step
-    ys = desc_center.imag + (np.arange(n + 1) - n / 2.0) * step
+def _scan_points(desc_center: complex, half_width: float) -> np.ndarray:
+    n = int(round(2.0 * half_width / SCAN_STEP))
+    xs = desc_center.real + (np.arange(n + 1) - n / 2.0) * SCAN_STEP
+    ys = desc_center.imag + (np.arange(n + 1) - n / 2.0) * SCAN_STEP
     return xs[None, :] + 1j * ys[:, None]
 
 
@@ -276,44 +279,42 @@ def _scan_window(
     return center, 5.0 + max(abs(term.center) for term in density)
 
 
-def min_r_on_grid(
-    state: StateSpec,
-    res: ReservoirParams,
-    t: float,
-    tau: float,
-    step: float = 0.05,
-) -> float:
+def min_r_on_grid(state: StateSpec, res: ReservoirParams, t: float, tau: float) -> float:
     """Minimum of the smoothed weight over the standard scan window:
     centred on the weighted mean centre of the density terms (a cat's
-    coherences left out), half-width 5 + their largest |center|."""
+    coherences left out), half-width 5 + their largest |center|, with
+    points SCAN_STEP apart."""
     center, half_width = _scan_window(state, res, t)
-    z = _scan_points(center, half_width, step)
+    z = _scan_points(center, half_width)
     return float(r_function_grid(state, res, t, tau, z).min())
 
 
-def tau_m_by_negativity_scan(
-    state: StateSpec,
-    res: ReservoirParams,
-    t: float,
-    tol: float = 1e-3,
-    step: float = 0.05,
-) -> float:
-    """Numeric depth: bisect the smallest tau whose grid minimum clears
-    the negativity threshold.  Validates the closed-form rows."""
+def tau_m_by_negativity_scan(state: StateSpec, res: ReservoirParams, t: float) -> float:
+    """Numeric depth: bisect, to SCAN_TOL, the smallest tau whose grid
+    minimum clears the negativity threshold.  Validates the closed-form
+    rows."""
     desc = evolved_descriptor(state, res, t)
     min_c = min(min(term.c_r, term.c_i) for term in desc.terms)
     lo = 0.0 if min_c > 0.0 else -4.0 * min_c + 1e-9
 
-    if min_r_on_grid(state, res, t, lo, step) >= NEGATIVITY_THRESHOLD:
+    def negative(tau: float) -> bool:
+        try:
+            return min_r_on_grid(state, res, t, tau) < NEGATIVITY_THRESHOLD
+        except SingularSmoothing:
+            # every coefficient is positive from lo on, so the density
+            # overflowed: a large cat's coherences under little smoothing
+            return True
+
+    if not negative(lo):
         return lo
     hi = 1.0
-    while min_r_on_grid(state, res, t, hi, step) < NEGATIVITY_THRESHOLD:
+    while negative(hi):
         hi += 0.5  # depth beyond 1 never happens for catalogue states
         if hi > 4.0:
             raise ConfigError("no nonnegative smoothing found below tau = 4")
-    while hi - lo > tol:
+    while hi - lo > SCAN_TOL:
         mid = 0.5 * (lo + hi)
-        if min_r_on_grid(state, res, t, mid, step) < NEGATIVITY_THRESHOLD:
+        if negative(mid):
             lo = mid
         else:
             hi = mid
@@ -325,25 +326,23 @@ def classicality_onset_by_scan(
     res: ReservoirParams,
     gt_lo: float,
     gt_hi: float,
-    tol: float = 1e-3,
-    step: float = 0.05,
 ) -> float:
     """Scaled time at which the evolved weight itself (tau = 0) stops
-    being negative on the scan grid, located by bisection.
+    being negative on the scan grid, located by bisection to SCAN_TOL.
 
     The bracket [gt_lo, gt_hi] must straddle the onset.
     """
     gamma = res.gamma
 
     def negative(gt: float) -> bool:
-        return min_r_on_grid(state, res, gt / gamma, 0.0, step) < NEGATIVITY_THRESHOLD
+        return min_r_on_grid(state, res, gt / gamma, 0.0) < NEGATIVITY_THRESHOLD
 
     if not negative(gt_lo):
         raise ConfigError(f"no negativity at the lower bracket Gamma*t = {gt_lo}")
     if negative(gt_hi):
         raise ConfigError(f"still negative at the upper bracket Gamma*t = {gt_hi}")
     lo, hi = gt_lo, gt_hi
-    while hi - lo > tol:
+    while hi - lo > SCAN_TOL:
         mid = 0.5 * (lo + hi)
         if negative(mid):
             lo = mid

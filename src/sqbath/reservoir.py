@@ -43,7 +43,7 @@ class ReservoirParams:
         if not (self.gamma > 0.0):
             raise ConfigError(f"reservoir gamma must be > 0, got {self.gamma}")
         bound = self.N * (self.N + 1.0)
-        if self.M * self.M > bound + _BOUND_TOL:
+        if not (self.M * self.M <= bound + _BOUND_TOL):
             raise ConfigError(
                 f"unphysical reservoir: M^2 = {self.M * self.M:.6g} exceeds "
                 f"N(N+1) = {bound:.6g}"
@@ -52,7 +52,8 @@ class ReservoirParams:
 
 @dataclass(frozen=True)
 class PhysicalReservoirSpec:
-    """Physical squeezed thermal bath: occupation, squeeze modulus, phase.
+    """Physical squeezed thermal bath: occupation, squeeze modulus, phase,
+    and the damping rate of the effective reservoir it maps to.
 
     theta is restricted to {0, pi} so that M stays real (theta = pi gives
     M < 0, theta = 0 gives M > 0).
@@ -61,6 +62,7 @@ class PhysicalReservoirSpec:
     nbar0: float
     r: float
     theta: float = math.pi
+    gamma: float = ReservoirParams.gamma
 
     def __post_init__(self) -> None:
         if not (self.nbar0 >= 0.0):
@@ -76,7 +78,7 @@ class PhysicalReservoirSpec:
             )
 
 
-def from_physical(spec: PhysicalReservoirSpec, gamma: float = 1.0) -> ReservoirParams:
+def from_physical(spec: PhysicalReservoirSpec) -> ReservoirParams:
     """Map physical bath parameters to the effective (N, M) pair.
 
     N = nbar0 cosh(2r) + sinh^2(r)
@@ -93,7 +95,7 @@ def from_physical(spec: PhysicalReservoirSpec, gamma: float = 1.0) -> ReservoirP
         * math.sinh(spec.r)
         * math.cosh(spec.r)
     )
-    return ReservoirParams(N=n, M=m, gamma=gamma)
+    return ReservoirParams(N=n, M=m, gamma=spec.gamma)
 
 
 def _check_time(t: FloatOrArray) -> None:

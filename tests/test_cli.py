@@ -38,9 +38,14 @@ ADDED_THERMAL_SCENARIO = {
 }
 
 
+# write_config writes this string as the literal 1e400, which JSON reads as inf
+OVERFLOW = "<1e400>"
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    text = json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400")
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -312,6 +317,17 @@ def test_validate_surfaces_truncation_hint(tmp_path, capsys):
     assert "dim >= 16" in capsys.readouterr().err
 
 
+VALID = {
+    "state": {"kind": "coherent", "gamma": 1.0},
+    "reservoir": {"N": 1.0, "M": 0.0},
+    "time_grid": {"start": 0, "stop": 1, "step": 0.1},
+    "oracle": {"dt": 0.001},
+}
+# json.dumps writes these as the literals NaN, Infinity and -Infinity,
+# which json.load reads back
+NAN, INF = math.nan, math.inf
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -354,6 +370,45 @@ def test_validate_surfaces_truncation_hint(tmp_path, capsys):
             {"kind": "cat", "phi": 1.0},
             {"kind": ["coherent"]},
         )
+    ]
+    + [
+        # NaN passes no range check by comparison alone, and infinities and
+        # overflowing literals are no values: every numeric field rejects them
+        {**VALID, section: {**VALID[section], key: value}}
+        for section, key in (
+            ("state", "gamma"),
+            ("reservoir", "N"),
+            ("reservoir", "M"),
+            ("reservoir", "gamma"),
+            ("time_grid", "start"),
+            ("time_grid", "stop"),
+            ("time_grid", "step"),
+            ("oracle", "dt"),
+        )
+        for value in (NAN, INF, -INF, OVERFLOW)
+    ]
+    + [
+        {**VALID, "state": {"kind": "coherent", "gamma": [re, im]}}
+        for re, im in ((NAN, 0.0), (0.0, INF), (OVERFLOW, 0.0), (0.0, 10**400))
+    ]
+    + [
+        {**VALID, "reservoir": {"nbar0": NAN, "r": 0.5}},
+        {**VALID, "reservoir": {"nbar0": 0.5, "r": INF}},
+        {**VALID, "reservoir": {"nbar0": 0.5, "r": 0.5, "gamma": NAN}},
+        {**VALID, "state": {"kind": "cat", "gamma": 1.0, "phi": NAN}},
+        {**VALID, "state": {"kind": "squeezed_coherent", "gamma": 1.0, "mu": INF}},
+        # a grid whose row count is not finite
+        {**VALID, "time_grid": {"start": 0, "stop": 1e300, "step": 1e-300}},
+        # outputs must be a list of strings
+        {**VALID, "outputs": [["moments"]]},
+        {**VALID, "outputs": "moments"},
+        {**VALID, "outputs": []},
+        {**VALID, "oracle": {"dim": 1}},
+        {**VALID, "oracle": {"dim": 64.0}},
+        {**VALID, "oracle": {"dt": 0}},
+        {**VALID, "oracle": {"enabled": 1}},
+        {**VALID, "oracle": []},
+        [VALID],
     ],
 )
 def test_config_errors_exit_two(tmp_path, capsys, doc):
@@ -367,6 +422,21 @@ def test_invalid_json_reports_line(tmp_path, capsys):
     path.write_text('{"state": \n oops', encoding="utf-8")
     assert main(["evolve", "--config", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"state": {"kind": "thermal", "nbar": ' + b"1" * 5000 + b"}}",  # past the digit limit
+        b"[" * 100000 + b"]" * 100000,  # deeper than the decoder's recursion limit
+    ],
+)
+def test_unreadable_json_exits_two(tmp_path, capsys, data):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert main(["evolve", "--config", str(path)]) == 2
+    assert "unreadable JSON" in capsys.readouterr().err
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):
@@ -398,4 +468,5 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(THERMAL_SCENARIO))
     assert main(["validate", "--config", cfg, "--oracle", "--dim", "1"]) == 2
     assert main(["validate", "--config", cfg, "--oracle", "--dt", "-0.1"]) == 2
+    assert main(["validate", "--config", cfg, "--oracle", "--dt", "nan"]) == 2
     capsys.readouterr()

@@ -19,6 +19,8 @@ SQRT2 = math.sqrt(2.0)
 def test_bound_rejects_unphysical_m():
     with pytest.raises(ConfigError):
         ReservoirParams(N=1.0, M=1.5)  # M^2 = 2.25 > N(N+1) = 2
+    with pytest.raises(ConfigError):
+        ReservoirParams(N=1.0, M=math.nan)  # fails every comparison
 
 
 def test_bound_allows_exact_saturation():
@@ -103,12 +105,14 @@ physical_specs = st.builds(
     nbar0=st.floats(0.0, 3.0),
     r=st.floats(0.0, 1.5),
     theta=st.sampled_from([0.0, math.pi]),
+    gamma=st.floats(0.1, 4.0),
 )
 
 
-@given(spec=physical_specs, gamma=st.floats(0.1, 4.0))
-def test_physical_map_is_always_physical(spec, gamma):
-    res = from_physical(spec, gamma=gamma)
+@given(spec=physical_specs)
+def test_physical_map_is_always_physical(spec):
+    res = from_physical(spec)
+    assert res.gamma == spec.gamma
     assert res.M * res.M <= res.N * (res.N + 1.0) + 1e-9
 
 
