@@ -16,13 +16,22 @@ from .errors import (
     ConfigError,
     DegenerateDenominator,
     ImmediateTransition,
+    NonFiniteResult,
     SeriesDiverges,
     SingularSmoothing,
     SqbathError,
     TraceDriftExceeded,
     TruncationTooSmall,
 )
-from .reservoir import PhysicalReservoirSpec, ReservoirParams, from_physical, mt, nt
+from .reservoir import (
+    NoiseEnvelope,
+    PhysicalReservoirSpec,
+    ReservoirParams,
+    from_physical,
+    mt,
+    noise_envelope,
+    nt,
+)
 from .states import (
     Cat,
     Coherent,

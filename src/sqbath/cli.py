@@ -26,17 +26,32 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import fock_oracle
-from .errors import ConfigError, DegenerateDenominator, ImmediateTransition, SqbathError
+from .elementwise import E16_WIDTH, format_e16
+from .errors import (
+    ConfigError,
+    DegenerateDenominator,
+    ImmediateTransition,
+    NonFiniteResult,
+    SqbathError,
+)
 from .evolution import evolve_moments, evolved_means, mandel_q, quadrature_variances
 from .nonclassicality import closed_form_transition_time, tau_profile, transition_time
 from .plotting import write_figures
-from .reservoir import PhysicalReservoirSpec, ReservoirParams, from_physical
+from .reservoir import (
+    PhysicalReservoirSpec,
+    ReservoirParams,
+    from_physical,
+    noise_envelope,
+)
 from .states import StateSpec, initial_moments
 
 CSV_HEADER = (
     "gamma_t,re_mean_a,im_mean_a,n_mean,mandel_q,var_x,var_y,tau_m_raw,tau_m"
 )
+CSV_COLUMNS = CSV_HEADER.split(",")
 NA = "NA"
+_NA_SLOT = np.frombuffer(NA.encode().ljust(E16_WIDTH, b"\0"), dtype=np.uint8)
+_BLOCK_ROWS = 1024  # CSV lines per block of text
 ALL_OUTPUTS = frozenset({"moments", "mandel_q", "variances", "tau_m"})
 
 # validate tolerances: relative with an absolute floor
@@ -251,71 +266,76 @@ def load_config(path: str, *, need_grid: bool = True) -> RunConfig:
 # evolve
 
 
-def _f(x: float) -> str:
-    # + 0.0 folds negative zero into positive zero so equal values always
-    # render to equal bytes
-    return f"{x + 0.0:.16e}"
+def csv_blocks(cfg: RunConfig) -> Iterator[str]:
+    """The CSV's data lines, each ending in a newline, in blocks of up to
+    _BLOCK_ROWS lines.
 
-
-_CELL = "%.16e"  # the bytes of _f for a value that already had + 0.0
-
-
-def csv_lines(cfg: RunConfig) -> Iterator[str]:
-    """The CSV's data lines, each ending in a newline.
-
-    Each observable is evaluated once, on the whole time grid; a line is
-    one % template filled from the columns, with NA in the cells that
-    ``outputs`` switches off and in the Mandel Q cells where the mean
-    photon number is zero.
+    Each observable is evaluated once, on the whole time grid, from one
+    noise envelope. Every numeric cell has the bytes of
+    "%.16e" % (x + 0.0), written by ``format_e16`` into a fixed slot of
+    one byte buffer; a block is a run of its rows with the NUL padding of
+    the slots stripped. NA fills the cells that ``outputs`` switches off
+    and the Mandel Q cells where the mean photon number is zero. Raises
+    NonFiniteResult, naming the column and the first Gamma t, where any
+    other cell is not finite; it does so before returning, so that
+    nothing is written for a failed render.
     """
     state, res, outputs = cfg.state, cfg.reservoir, cfg.outputs
     m0 = initial_moments(state)
     gts = cfg.time_grid.points()
-    t = gts / res.gamma
-    cells: list[str] = []
-    columns: list[list] = []
+    env = noise_envelope(res, gts / res.gamma)
+    values = np.zeros((len(gts), len(CSV_COLUMNS)))
+    na = np.zeros(values.shape, dtype=bool)
+    values[:, 0] = gts
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        if "moments" in outputs:
+            mean_a, values[:, 3] = evolved_means(m0, res, env)
+            values[:, 1], values[:, 2] = mean_a.real, mean_a.imag
+        else:
+            na[:, 1:4] = True
+        if "mandel_q" in outputs:
+            # NaN marks the times where the mean photon number is zero
+            values[:, 4] = mandel_q(m0, res, env)
+            na[:, 4] = np.isnan(values[:, 4])
+        else:
+            na[:, 4] = True
+        if "variances" in outputs:
+            values[:, 5], values[:, 6] = quadrature_variances(m0, res, env)
+        else:
+            na[:, 5:7] = True
+        if "tau_m" in outputs:
+            prof = tau_profile(state, res, env)
+            values[:, 7], values[:, 8] = prof.raw, prof.clamped
+        else:
+            na[:, 7:9] = True
 
-    def numeric(*arrays) -> None:
-        cells.extend([_CELL] * len(arrays))
-        columns.extend((a + 0.0).tolist() for a in arrays)  # + 0.0 as in _f
+    bad = np.flatnonzero(~(np.isfinite(values) | na))
+    if len(bad):
+        row, col = divmod(int(bad[0]), values.shape[1])
+        raise NonFiniteResult(
+            f"{CSV_COLUMNS[col]} is {values[row, col]} at gamma_t = {float(gts[row])!r}"
+        )
+    values[na] = 0.0
 
-    def absent(n: int) -> None:
-        cells.extend([NA] * n)
-
-    numeric(gts)
-
-    if "moments" in outputs:
-        mean_a, mean_n = evolved_means(m0, res, t)
-        numeric(mean_a.real, mean_a.imag, mean_n)
-    else:
-        absent(3)
-
-    if "mandel_q" in outputs:
-        # NaN marks the times where the mean photon number is zero
-        q = mandel_q(m0, res, t).tolist()
-        cells.append("%s")
-        columns.append([NA if x != x else _f(x) for x in q])
-    else:
-        absent(1)
-
-    if "variances" in outputs:
-        numeric(*quadrature_variances(m0, res, t))
-    else:
-        absent(2)
-
-    if "tau_m" in outputs:
-        prof = tau_profile(state, res, t)
-        numeric(prof.raw, prof.clamped)
-    else:
-        absent(2)
-
-    template = ",".join(cells) + "\n"
-    return (template % row for row in zip(*columns))
+    # one slot per cell, then its separator
+    buf = np.zeros(values.shape + (E16_WIDTH + 1,), dtype=np.uint8)
+    buf[:, :, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    slots = buf.reshape(-1, E16_WIDTH + 1)[:, :E16_WIDTH]
+    format_e16(values.ravel(), slots)
+    slots[na.ravel()] = _NA_SLOT
+    # blocks rather than one string: a whole 10 001-row text would be
+    # copied twice more on its way to the output
+    return (
+        str(buf[i:i + _BLOCK_ROWS].data, "ascii").replace("\0", "")
+        for i in range(0, len(buf), _BLOCK_ROWS)
+    )
 
 
 def cmd_evolve(cfg: RunConfig, out) -> int:
+    blocks = csv_blocks(cfg)
     out.write(CSV_HEADER + "\n")
-    out.writelines(csv_lines(cfg))
+    out.writelines(blocks)
     return 0
 
 
@@ -476,6 +496,9 @@ def main(argv=None) -> int:
         return 2
     except SqbathError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # overflow inside the analytic layer
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,6 +17,11 @@ class DegenerateDenominator(SqbathError):
     """Mandel Q is undefined: the mean photon number vanishes."""
 
 
+class NonFiniteResult(SqbathError):
+    """An observable overflowed or is not a number at finite inputs: the
+    parameters lie beyond what double precision can evaluate."""
+
+
 class SingularSmoothing(SqbathError):
     """A smoothed-descriptor evaluation was requested where a total
     Gaussian coefficient is not strictly positive, so the density is

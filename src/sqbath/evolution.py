@@ -15,15 +15,14 @@ evaluation, and a binomial moment map for observables.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
-from .elementwise import FloatOrArray, emap
-from .errors import DegenerateDenominator
-from .reservoir import ReservoirParams, mt, nt
+from .elementwise import FloatOrArray
+from .errors import DegenerateDenominator, NonFiniteResult
+from .reservoir import ReservoirParams, Times, noise_envelope
 from .states import (
     MAX_ORDER,
     MomentTable,
@@ -50,13 +49,13 @@ class GaussianSmoothing:
     add_i: FloatOrArray
 
     @classmethod
-    def from_reservoir(cls, res: ReservoirParams, t: FloatOrArray) -> "GaussianSmoothing":
+    def from_reservoir(cls, res: ReservoirParams, t: Times) -> "GaussianSmoothing":
         """At one time t, or with array fields over an array of times."""
-        n_t, m_t = nt(res, t), mt(res, t)
+        env = noise_envelope(res, t)
         return cls(
-            scale=emap(math.exp, -res.gamma * t),
-            add_r=(n_t + m_t) / 4.0,
-            add_i=(n_t - m_t) / 4.0,
+            scale=env.k,
+            add_r=(env.n_t + env.m_t) / 4.0,
+            add_i=(env.n_t - env.m_t) / 4.0,
         )
 
 
@@ -113,7 +112,7 @@ def evolve_moments(m0: MomentTable, res: ReservoirParams, t: float) -> MomentTab
 
 
 def evolved_means(
-    m0: MomentTable, res: ReservoirParams, t: FloatOrArray
+    m0: MomentTable, res: ReservoirParams, t: Times
 ) -> tuple[complex | np.ndarray, FloatOrArray]:
     """(<a>, <n>) at time t, or as arrays over an array of times: the
     (0, 1) and (1, 1) entries of ``evolve_moments`` with their zero terms
@@ -125,12 +124,12 @@ def evolved_means(
     m00 stays in: for photon-added coherent and cat tables it is 1 only to
     rounding.
     """
-    sm = GaussianSmoothing.from_reservoir(res, t)
-    k = sm.scale
+    env = noise_envelope(res, t)
+    sm = GaussianSmoothing.from_reservoir(res, env)
     var_r, var_i = 2.0 * sm.add_r, 2.0 * sm.add_i
-    mean_a = k * m0.mean_a
+    mean_a = env.k * m0.mean_a
     # k ** 2 as the table computes it: Python's pow, not k * k
-    mean_n = emap(pow, k, 2) * m0.mean_n + m0[0, 0].real * (var_i + var_r)
+    mean_n = env.k2 * m0.mean_n + m0[0, 0].real * (var_i + var_r)
     return mean_a, mean_n
 
 
@@ -139,7 +138,7 @@ def evolved_state_moments(state: StateSpec, res: ReservoirParams, t: float) -> M
     return evolve_moments(initial_moments(state), res, t)
 
 
-def mandel_q(m0: MomentTable, res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+def mandel_q(m0: MomentTable, res: ReservoirParams, t: Times) -> FloatOrArray:
     """Mandel Q at time t from the initial moment table.
 
     Q(t) = { [<adag2 a2>(0) - <n>(0)^2] e^{-4 Gamma t}
@@ -148,10 +147,11 @@ def mandel_q(m0: MomentTable, res: ReservoirParams, t: FloatOrArray) -> FloatOrA
 
     Raises DegenerateDenominator when the mean photon number vanishes.
     Over an array of times it returns an array instead, with NaN at the
-    times where the mean photon number is zero.
+    times where the mean photon number is zero, and only there: a NaN
+    from overflow raises NonFiniteResult.
     """
-    n_t, m_t = nt(res, t), mt(res, t)
-    u = emap(math.exp, -2.0 * res.gamma * t)
+    env = noise_envelope(res, t)
+    n_t, m_t, u = env.n_t, env.m_t, env.u
     n0 = m0.mean_n
     denom = n0 * u + n_t
     numer = (
@@ -161,16 +161,26 @@ def mandel_q(m0: MomentTable, res: ReservoirParams, t: FloatOrArray) -> FloatOrA
         + m_t * m_t
     )
     if isinstance(denom, np.ndarray):
-        return numer / np.where(denom == 0.0, np.nan, denom)
-    if denom == 0.0:
-        raise DegenerateDenominator(
-            "Mandel Q undefined: mean photon number is zero"
+        zero = denom == 0.0
+        q = numer / np.where(zero, np.nan, denom)
+        undefined = np.flatnonzero(np.isnan(q) & ~zero)
+        t_bad = env.t[undefined[0]] if len(undefined) else None
+    else:
+        if denom == 0.0:
+            raise DegenerateDenominator(
+                "Mandel Q undefined: mean photon number is zero"
+            )
+        q = numer / denom
+        t_bad = env.t if q != q else None
+    if t_bad is not None:
+        raise NonFiniteResult(
+            f"mandel_q is not a number at gamma_t = {float(res.gamma * t_bad)!r}"
         )
-    return numer / denom
+    return q
 
 
 def quadrature_variances(
-    m0: MomentTable, res: ReservoirParams, t: FloatOrArray
+    m0: MomentTable, res: ReservoirParams, t: Times
 ) -> tuple[FloatOrArray, FloatOrArray]:
     """(Var X, Var Y)(t) for X = (a + a^dag)/2, Y = (a - a^dag)/(2i); a
     pair of arrays over an array of times.
@@ -178,8 +188,8 @@ def quadrature_variances(
     V_X(t) = [2 (N_t + M_t) + 1]/4 + [V_X(0) - 1/4] e^{-2 Gamma t},
     and with M_t -> -M_t for V_Y.
     """
-    n_t, m_t = nt(res, t), mt(res, t)
-    u = emap(math.exp, -2.0 * res.gamma * t)
+    env = noise_envelope(res, t)
+    n_t, m_t, u = env.n_t, env.m_t, env.u
     vx = (2.0 * (n_t + m_t) + 1.0) / 4.0 + (m0.var_x() - 0.25) * u
     vy = (2.0 * (n_t - m_t) + 1.0) / 4.0 + (m0.var_y() - 0.25) * u
     return vx, vy

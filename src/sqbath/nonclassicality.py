@@ -18,15 +18,19 @@ from functools import reduce
 
 import numpy as np
 
-from .elementwise import FloatOrArray, emap
-from .errors import ConfigError, ImmediateTransition, SingularSmoothing
+from .elementwise import FloatOrArray
+from .errors import ConfigError, ImmediateTransition, NonFiniteResult, SingularSmoothing
 from .evolution import evolved_descriptor
-from .reservoir import ReservoirParams, mt, nt
+from .reservoir import ReservoirParams, Times, noise_envelope
 from .states import DescriptorTerm, StateSpec
 
 # Profiles are bracketed for sign changes on the scaled window (0, T_MAX].
 T_MAX_SCALED = 50.0
+_SCAN_GTS = np.concatenate(([0.0], np.geomspace(1e-8, T_MAX_SCALED, 700)))
 _BISECT_TOL = 1e-10
+# A scan point counts as a dip towards zero only where both neighbours
+# exceed it by more than this share of its size.
+_DIP_REL = 1e-9
 # A grid minimum above this threshold counts as "nonnegative" in scans.
 NEGATIVITY_THRESHOLD = -1e-12
 # Scan grid spacing, and the width at which a scan's bisection stops.
@@ -47,20 +51,19 @@ class TauProfile:
     clamped: FloatOrArray
 
 
-def tau_raw(state: StateSpec, res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+def tau_raw(state: StateSpec, res: ReservoirParams, t: Times) -> FloatOrArray:
     """Unclamped depth profile at a time or over an array of times;
     negative values mean a classical state."""
-    n_t, m_t = nt(res, t), mt(res, t)
-    u = emap(math.exp, -2.0 * res.gamma * t)
-    return state.depth(u, n_t, m_t)
+    env = noise_envelope(res, t)
+    return state.depth(env.u, env.n_t, env.m_t)
 
 
-def tau_m(state: StateSpec, res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+def tau_m(state: StateSpec, res: ReservoirParams, t: Times) -> FloatOrArray:
     """Clamped nonclassical depth, in [0, 1] for the catalogue states."""
     return tau_profile(state, res, t).clamped
 
 
-def tau_profile(state: StateSpec, res: ReservoirParams, t: FloatOrArray) -> TauProfile:
+def tau_profile(state: StateSpec, res: ReservoirParams, t: Times) -> TauProfile:
     raw = tau_raw(state, res, t)
     return TauProfile(raw=raw, clamped=np.maximum(0.0, raw))
 
@@ -89,33 +92,47 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
     as zero. Returns None when no sign change exists on [0, 50/Gamma]; a
     value of exactly zero is a crossing only where the nearest nonzero
     values on its two sides have opposite signs, so a profile that is
-    identically zero (or underflows to zero) has no crossing. Raises
-    ImmediateTransition when the profile leaves zero into the
-    nonclassical side at t = 0+ and never crosses back (a coherent state
-    under a squeezing-dominated reservoir).  Bisection is carried to
-    1e-10 in Gamma t.
+    identically zero (or underflows to zero) has no crossing. Two
+    crossings closer together than the scan's spacing show up only as a
+    scan point nearer zero than both of its neighbours; before the first
+    sign change, the profile is minimised towards zero between the
+    neighbours of each such point, and a minimum of the opposite sign
+    brackets the crossing. Raises ImmediateTransition when the profile
+    leaves zero into the nonclassical side at t = 0+ and never crosses
+    back (a coherent state under a squeezing-dominated reservoir), and
+    NonFiniteResult when a scanned value is NaN (parameters beyond double
+    precision).  Bisection is carried to 1e-10 in Gamma t.
     """
     gamma = res.gamma
 
     def raw_scaled(gt: float) -> float:
         return tau_raw(state, res, gt / gamma)
 
-    gts = np.concatenate(([0.0], np.geomspace(1e-8, T_MAX_SCALED, 700)))
-    vals = tau_raw(state, res, gts / gamma).tolist()
+    gts = _SCAN_GTS
+    vals = tau_raw(state, res, gts / gamma)
+    undefined = np.flatnonzero(np.isnan(vals))
+    if len(undefined):
+        raise NonFiniteResult(
+            f"raw depth is not a number at gamma_t = {float(gts[undefined[0]])!r}"
+        )
     if abs(vals[0]) <= IMMEDIATE_TOL:
         vals[0] = 0.0
 
-    bracket = None
-    last = None  # index of the latest nonzero value
-    for i, val in enumerate(vals):
-        if val == 0.0:
-            continue
-        if last is not None and vals[last] * val < 0.0:
-            if i > last + 1:  # exact zeros between the two signs
-                return gts[last + 1] / gamma
-            bracket = (gts[last], gts[i])
-            break
-        last = i
+    bracket = zero_run = None
+    end = len(vals) - 1  # the scan points before the first sign change
+    nonzero = np.flatnonzero(vals)
+    flips = np.flatnonzero(np.diff(np.sign(vals[nonzero])))
+    if len(flips):
+        end, i = nonzero[flips[0]], nonzero[flips[0] + 1]
+        if i > end + 1:  # exact zeros between the two signs
+            zero_run = gts[end + 1]
+        else:
+            bracket = (gts[end], gts[i])
+    dip = _dip_bracket(raw_scaled, gts, vals[: end + 1])
+    if dip is not None:
+        bracket = dip
+    elif zero_run is not None:
+        return zero_run / gamma
 
     if bracket is None:
         if vals[0] == 0.0 and vals[1] > 0.0:
@@ -137,6 +154,48 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi) / gamma
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _dip_bracket(f, gts: np.ndarray, vals: np.ndarray) -> tuple[float, float] | None:
+    """The first (gt, gt') with f(gt) and f(gt') of opposite signs inside a
+    dip of the scanned values vals = f(gts[:len(vals)]) towards zero, or
+    None.  A dip is a scan point nearer zero than both of its neighbours
+    by more than _DIP_REL of its size (closer than that is rounding
+    noise, as where u has shrunk below the epsilon of N_t).  Each dip is
+    a golden-section minimisation of |f| between the two neighbours; it
+    stops at the first value of the other sign."""
+    sign, mag = np.sign(vals), np.abs(vals)
+    mid = slice(1, -1)
+    floor = mag[mid] * (1.0 + _DIP_REL)
+    dips = (
+        (sign[mid] != 0.0)
+        & (sign[:-2] == sign[mid])
+        & (sign[2:] == sign[mid])
+        & (floor < mag[:-2])
+        & (floor < mag[2:])
+    )
+    for j in np.flatnonzero(dips) + 1:
+        s = sign[j]
+        a, b = gts[j - 1], gts[j + 1]
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc, fd = s * f(c), s * f(d)
+        while b - a > _BISECT_TOL:
+            if fc < 0.0:
+                return gts[j - 1], c
+            if fd < 0.0:
+                return gts[j - 1], d
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = s * f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = s * f(d)
+    return None
 
 
 def _root_from_u(u: float, gamma: float) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -104,15 +106,51 @@ def _check_time(t: FloatOrArray) -> None:
         raise ConfigError(f"time must be >= 0, got {earliest}")
 
 
-def nt(res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+class NoiseEnvelope:
+    """The reservoir's time dependence at a time t, or over an array of
+    times, each factor evaluated once:
+
+    u = e^{-2 Gamma t}, and N_t = N (1 - u), M_t = M (1 - u) from one
+    expm1 pass; k = e^{-Gamma t} and k2 = k ** 2 (Python's pow) only once
+    read, since the depth profile never needs them.
+
+    The observables accept one in place of t, so that a render evaluates
+    each factor once for all of its columns.
+    """
+
+    def __init__(self, res: ReservoirParams, t: FloatOrArray) -> None:
+        _check_time(t)
+        self.res, self.t = res, t
+        self.u = emap(math.exp, -2.0 * res.gamma * t)
+        one_minus_u = -emap(math.expm1, -2.0 * res.gamma * t)
+        self.n_t = res.N * one_minus_u
+        self.m_t = res.M * one_minus_u
+
+    @cached_property
+    def k(self) -> FloatOrArray:
+        return emap(math.exp, -self.res.gamma * self.t)
+
+    @cached_property
+    def k2(self) -> FloatOrArray:
+        return emap(pow, self.k, 2)  # as the moment table takes it; not k * k
+
+
+# a time, a time grid, or the envelope of one
+Times = Union[float, np.ndarray, NoiseEnvelope]
+
+
+def noise_envelope(res: ReservoirParams, t: Times) -> NoiseEnvelope:
+    """The envelope of res at t; t itself if it already is one (of res)."""
+    return t if isinstance(t, NoiseEnvelope) else NoiseEnvelope(res, t)
+
+
+def nt(res: ReservoirParams, t: Times) -> FloatOrArray:
     """Time-dependent thermal noise N_t = N (1 - e^{-2 Gamma t}); t is a
     float or an array of times."""
-    _check_time(t)
-    return res.N * (-emap(math.expm1, -2.0 * res.gamma * t))
+    return noise_envelope(res, t).n_t
 
 
-def mt(res: ReservoirParams, t: FloatOrArray) -> FloatOrArray:
+def mt(res: ReservoirParams, t: Times) -> FloatOrArray:
     """Time-dependent squeezing noise M_t = M (1 - e^{-2 Gamma t}); t is a
     float or an array of times."""
-    _check_time(t)
-    return res.M * (-emap(math.expm1, -2.0 * res.gamma * t))
+    return noise_envelope(res, t).m_t

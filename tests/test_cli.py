@@ -21,7 +21,7 @@ from sqbath import (
     tau_profile,
     transition_time,
 )
-from sqbath.cli import CSV_HEADER, _f, csv_lines, main, parse_config, parse_state
+from sqbath.cli import CSV_HEADER, csv_blocks, main, parse_config, parse_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,6 +112,11 @@ ROW_RESERVOIRS = [
 ROW_GRID = {"start": 0.37, "stop": 4.37, "step": 0.002}
 
 
+def _f(x: float) -> str:
+    # + 0.0 folds negative zero into positive zero, as the CSV does
+    return "%.16e" % (x + 0.0)
+
+
 def scalar_row(cfg, gt):
     """One CSV row from scalar calls of the analytic layer at one Γt."""
     state, res = cfg.state, cfg.reservoir
@@ -136,7 +141,7 @@ def test_rows_match_scalar_calls(state, reservoir):
     cfg = parse_config({"state": state, "reservoir": reservoir, "time_grid": ROW_GRID})
     gts = cfg.time_grid.points()
     assert len(gts) == 2001
-    lines = list(csv_lines(cfg))
+    lines = "".join(csv_blocks(cfg)).splitlines(keepends=True)
     assert lines == [scalar_row(cfg, gt) + "\n" for gt in gts]
 
 
@@ -151,7 +156,7 @@ def test_vacuum_rows_match_scalar_calls():
             "time_grid": {"start": 0.0, "stop": 2.0, "step": 0.1},
         }
         cfg = parse_config(doc)
-        lines = list(csv_lines(cfg))
+        lines = "".join(csv_blocks(cfg)).splitlines(keepends=True)
         assert lines == [scalar_row(cfg, gt) + "\n" for gt in cfg.time_grid.points()]
         assert sum(line.split(",")[4] == "NA" for line in lines) == na_rows
 
@@ -415,6 +420,29 @@ def test_config_errors_exit_two(tmp_path, capsys, doc):
     cfg = write_config(tmp_path, doc)
     assert main(["evolve", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_cells_exit_three(tmp_path, capsys):
+    # N_t^2 overflows in Mandel Q's numerator from the first step on
+    doc = {
+        "state": {"kind": "coherent", "gamma": 1.0},
+        "reservoir": {"N": 1e300, "M": 0.0},
+        "time_grid": {"start": 0.0, "stop": 1.0, "step": 0.25},
+    }
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    assert "numerical error: mandel_q is inf at gamma_t = 0.25" in capsys.readouterr().err
+    assert out.read_bytes() == b""
+    # without that column every cell is finite
+    doc["outputs"] = ["moments", "variances", "tau_m"]
+    assert run_evolve(tmp_path, doc).count(b"inf") == 0
+
+
+def test_overflowing_state_exits_three(tmp_path, capsys):
+    # |gamma|^4 overflows while the moment table is built
+    doc = dict(THERMAL_SCENARIO, state={"kind": "coherent", "gamma": 1e150})
+    assert main(["evolve", "--config", write_config(tmp_path, doc)]) == 3
+    assert "numerical error: OverflowError" in capsys.readouterr().err
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):

@@ -188,6 +188,42 @@ def test_no_crossing_under_thermal_bath():
     assert transition_time(PhotonAddedThermal(1.0), R_TH) is not None
 
 
+def test_close_pair_of_crossings():
+    # the raw depth is below zero only between Gamma t ~ 1.285 and ~1.31,
+    # inside two steps of the scan, whose points there are all positive
+    state = PhotonAddedThermal(1.659398)
+    res = ReservoirParams(N=0.408322, M=-0.421478)
+    closed = closed_form_transition_time(state, res)
+    assert closed == pytest.approx(1.2852285, abs=1e-7)
+    numeric = transition_time(state, res)
+    assert numeric is not None
+    assert abs(numeric - closed) <= 1e-8
+
+
+class _DipProfile:
+    """Stand-in state whose raw profile ((u - 0.3)/0.02)^2 - depth dips
+    below zero, for depth > 0, on a u interval narrower than a scan step."""
+
+    def __init__(self, depth):
+        self.depth_at_dip = depth
+
+    def depth(self, u, n_t, m_t):
+        return ((u - 0.3) / 0.02) ** 2 - self.depth_at_dip
+
+
+@pytest.mark.parametrize("depth", [1e-2, 1e-4])
+def test_narrow_dip_is_a_crossing(depth):
+    # first crossing in time is on the large-u side of the dip
+    u = 0.3 + 0.02 * math.sqrt(depth)
+    got = transition_time(_DipProfile(depth), R_TH)
+    assert got is not None
+    assert abs(got - (-0.5 * math.log(u))) <= 1e-8
+
+
+def test_dip_that_stays_positive_is_no_crossing():
+    assert transition_time(_DipProfile(-1e-6), R_TH) is None
+
+
 class _StepProfile:
     """Stand-in state whose raw profile is piecewise constant in u; like
     every family's depth, it takes a float or an array."""
