@@ -22,6 +22,7 @@ from .errors import (
     SqbathError,
     TraceDriftExceeded,
     TruncationTooSmall,
+    UnresolvedDensity,
 )
 from .reservoir import (
     NoiseEnvelope,

@@ -283,11 +283,11 @@ def csv_blocks(cfg: RunConfig) -> Iterator[str]:
     state, res, outputs = cfg.state, cfg.reservoir, cfg.outputs
     m0 = initial_moments(state)
     gts = cfg.time_grid.points()
-    env = noise_envelope(res, gts / res.gamma)
     values = np.zeros((len(gts), len(CSV_COLUMNS)))
     na = np.zeros(values.shape, dtype=bool)
     values[:, 0] = gts
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        env = noise_envelope(res, gts / res.gamma)
         if "moments" in outputs:
             mean_a, values[:, 3] = evolved_means(m0, res, env)
             values[:, 1], values[:, 2] = mean_a.real, mean_a.imag

@@ -29,6 +29,12 @@ class SingularSmoothing(SqbathError):
     overflows (a large cat's coherences under little smoothing)."""
 
 
+class UnresolvedDensity(SqbathError):
+    """A term of a smoothed density lies wholly below double precision's
+    normal range on the scan grid (a large cat's coherences, whose weight
+    underflows), so a scan cannot see the negativity it would cause."""
+
+
 class SeriesDiverges(SqbathError):
     """The displaced-number series only converges for tau > 1/2."""
 

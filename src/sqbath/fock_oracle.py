@@ -10,8 +10,12 @@ equation
             - Gamma  M    (2 adag rho adag - adag adag rho - rho adag adag)
             - Gamma  M*   (2 a rho a - a a rho - rho a a),
 
-as one sparse superoperator acting on the flattened density matrix, and a
-displaced-number series for the smoothed phase-space densities.
+as one sparse superoperator, and a displaced-number series for the
+smoothed phase-space densities. With M real the superoperator is real, and
+rho = S + iA (S real symmetric, A real antisymmetric) evolves as dim^2 real
+Hermitian coordinates, S's upper triangle and A's strict upper one: one
+real sparse product per RK4 stage, and snapshots that are Hermitian by
+construction. The trace is only monitored, never renormalized.
 Nothing here calls the analytic layer; agreement between the two routes
 is what the test suite certifies.
 """
@@ -47,6 +51,7 @@ from .states import (
 DEFAULT_DIM = 64
 TRACE_TOL = 1e-6
 LEAKAGE_BOUND = 1e-12
+HERMITIAN_TOL = 1e-12
 SERIES_TOL = 1e-10
 
 
@@ -157,75 +162,192 @@ def prepare(state: StateSpec, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _triangles(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols) of rho's upper triangle with its diagonal, then without
+    it, in row-major order: where the coordinates of S and of A sit."""
+    out = (*np.triu_indices(dim), *np.triu_indices(dim, 1))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _pack(rho: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates of rho = S + iA: S's upper triangle, diagonal
+    included, then A's strict upper triangle; dim^2 real numbers in all."""
+    s_rows, s_cols, a_rows, a_cols = _triangles(rho.shape[0])
+    return np.concatenate((rho.real[s_rows, s_cols], rho.imag[a_rows, a_cols]))
+
+
+def _unpack(x: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrix whose coordinates are x; exactly Hermitian."""
+    s_rows, s_cols, a_rows, a_cols = _triangles(dim)
+    n_s = s_rows.size
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho.real[s_rows, s_cols] = x[:n_s]
+    rho.real[s_cols, s_rows] = x[:n_s]
+    rho.imag[a_rows, a_cols] = x[n_s:]
+    rho.imag[a_cols, a_rows] = -x[n_s:]
+    return rho
+
+
+def _row_entries(m: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(column, value) of each row of a ladder monomial, which has at most
+    one entry per row; an empty row reads as the value 0 in column 0."""
+    m = sp.csr_matrix(m)
+    counts = np.diff(m.indptr)
+    assert counts.max() <= 1, "a ladder monomial has at most one entry per row"
+    cols = np.zeros(m.shape[0], dtype=np.intp)
+    vals = np.zeros(m.shape[0])
+    full = counts == 1
+    cols[full] = m.indices
+    vals[full] = m.data
+    return cols, vals
+
+
+@lru_cache(maxsize=None)
 def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The module docstring's dissipators as superoperators on row-major
-    vec(rho), stored on one shared sparsity pattern as (indptr, indices,
-    values); rows 0, 1 and 2 of values are the parts multiplied by N+1, N
-    and -M.
+    """The module docstring's dissipators as real superoperators on the
+    Hermitian coordinates x of rho (see _pack), stored on one shared
+    sparsity pattern as (indptr, indices, values); rows 0, 1 and 2 of values
+    are the parts multiplied by N+1, N and -M.
 
     Each dissipator is 2 x rho y - y x rho - rho y x, and
-    vec(X rho Y) = (X kron Y^T) vec(rho); M being real, the -M part sums
-    the (adag, adag) and (a, a) terms. The pattern is the union of the
-    three (about nine entries per row) and does not depend on the
-    reservoir: where N or M is zero the zeros stay stored, so one RK4 step
-    costs the same for every reservoir of a given dim.
-    """
-    a, ad = _ladder(dim)
-    eye = sp.identity(dim, dtype=complex, format="csr")
+    vec(X rho Y) = (X kron Y^T) vec(rho) on row-major vec(rho). The ladder
+    matrices are real, so each part D is real and commutes with
+    transposition: it maps S to a symmetric and A to an antisymmetric
+    matrix, and is block diagonal in x. Each part is folded as R D E in
+    real arithmetic: E writes x into vec(rho) (S on both triangles, A with
+    -1 on the lower one), and R reads the two upper triangles back. A
+    ladder monomial has at most one entry per row, so every term of D has
+    at most one entry in each row of R D, evaluated there directly; a row's
+    entries are merged by sorting its columns, and each part's zeros are
+    dropped before the union is taken.
 
-    def dissipator(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+    The pattern is that union (about nine entries per row) and does not
+    depend on the reservoir: where N or M is zero the zeros stay stored,
+    so one RK4 step costs the same for every reservoir of a given dim.
+
+    A complex M would add a fourth part, -i Im(M) [D(adag, adag) - D(a, a)].
+    The bracket anticommutes with transposition, mapping S to an
+    antisymmetric and A to a symmetric matrix, so with the factor -i the
+    part fills the S <-> A cross blocks of the same coordinates; the
+    diagonal blocks built here stay as they are.
+    """
+    a, ad = (m.real for m in _ladder(dim))
+    eye = sp.identity(dim, format="csr")
+
+    def dissipator(x: sp.csr_matrix, y: sp.csr_matrix) -> list:
+        # (weight, left, right) of each term weight * left @ rho @ right
         yx = y @ x
-        return 2.0 * sp.kron(x, y.T) - sp.kron(yx, eye) - sp.kron(eye, yx.T)
+        return [(2.0, x, y), (-1.0, yx, eye), (-1.0, eye, yx)]
 
     parts = [dissipator(a, ad), dissipator(ad, a), dissipator(ad, ad) + dissipator(a, a)]
-    parts = [p.tocoo() for p in parts]  # canonical sums: no duplicate entries
-    size = dim * dim
-    keys = [p.row.astype(np.int64) * size + p.col for p in parts]
-    pattern, where = np.unique(np.concatenate(keys), return_inverse=True)
-    values = np.zeros((len(parts), pattern.size))
-    split = np.cumsum([k.size for k in keys])[:-1]
-    for row, p, at in zip(values, parts, np.split(where, split)):
-        row[at] = p.data.real
+    # each term's (left row entries, right column entries), and its part
+    terms = [(w, _row_entries(x), _row_entries(y.T)) for p in parts for w, x, y in p]
+    term_part = np.repeat(np.arange(len(parts), dtype=np.int32), [len(p) for p in parts])
+
+    s_rows, s_cols, a_rows, a_cols = _triangles(dim)
+    n_s, size = s_rows.size, dim * dim
+    # E as tables: the block (S, A) reads rho[k, l] as sign[k, l] times
+    # coordinate where[k, l]; A has no diagonal (sign 0)
+    where = np.zeros((2, dim, dim), dtype=np.int32)
+    sign = np.zeros((2, dim, dim))
+    where[0, s_rows, s_cols] = where[0, s_cols, s_rows] = np.arange(n_s)
+    where[1, a_rows, a_cols] = where[1, a_cols, a_rows] = np.arange(n_s, size)
+    sign[0] = 1.0
+    sign[1, a_rows, a_cols] = 1.0
+    sign[1, a_cols, a_rows] = -1.0
+
+    counts, indices, values = [], [], []
+    # R: the block's coordinates are rho[i, j] over its upper triangle;
+    # one block at a time halves the temporaries
+    for where_b, sign_b, i, j in zip(where, sign, (s_rows, a_rows), (s_cols, a_cols)):
+        cols = np.empty((i.size, len(terms)), dtype=np.int32)
+        vals = np.empty((i.size, len(terms)))
+        for t, (w, (k, v_left), (l, v_right)) in enumerate(terms):
+            at = k[i] * dim + l[j]
+            cols[:, t] = where_b.ravel()[at]
+            vals[:, t] = w * v_left[i] * v_right[j] * sign_b.ravel()[at]
+        order = np.argsort(cols, axis=1, kind="stable")
+        cols = np.take_along_axis(cols, order, axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+        first = np.ones(cols.shape, dtype=bool)
+        first[:, 1:] = cols[:, 1:] != cols[:, :-1]
+        entry = np.cumsum(first, dtype=np.int32) - 1  # the merged entry of each cell
+        n = int(entry[-1]) + 1
+        sums = np.bincount(term_part[order].ravel() * n + entry, vals.ravel(), len(parts) * n)
+        sums = sums.reshape(len(parts), n)
+        keep = (sums != 0.0).any(axis=0)
+        counts.append(np.bincount(np.nonzero(first)[0][keep], minlength=i.size))
+        indices.append(cols[first][keep])
+        values.append(sums[:, keep])
     indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(pattern // size, minlength=size), out=indptr[1:])
-    indices = (pattern % size).astype(np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    indices = np.concatenate(indices)
+    values = np.concatenate(values, axis=1)
     for arr in (indptr, indices, values):
         arr.setflags(write=False)
     return indptr, indices, values
 
 
 def _liouvillian(dim: int, res: ReservoirParams) -> sp.csr_matrix:
-    """The master equation as one superoperator on row-major vec(rho),
-    Gamma [(N+1) L_1 + N L_2 - M L_M] on _dissipator_parts' pattern."""
+    """The master equation as one real superoperator on the Hermitian
+    coordinates of rho, Gamma [(N+1) L_1 + N L_2 - M L_M] on
+    _dissipator_parts' pattern."""
     indptr, indices, values = _dissipator_parts(dim)
     coef = res.gamma * np.array([res.N + 1.0, res.N, -res.M])
     size = dim * dim
-    return sp.csr_matrix(((coef @ values).astype(complex), indices, indptr), shape=(size, size))
+    return sp.csr_matrix((coef @ values, indices, indptr), shape=(size, size))
 
 
 def lindblad_rhs(rho: np.ndarray, res: ReservoirParams) -> np.ndarray:
-    """Right-hand side of the master equation (truncated)."""
+    """Right-hand side of the master equation (truncated), for any square
+    rho: by linearity, L(H1 + i H2) = L(H1) + i L(H2) with the Hermitian
+    H1 = (rho + rho^dag)/2 and H2 = (rho - rho^dag)/(2i)."""
     dim = rho.shape[0]
-    return (_liouvillian(dim, res) @ rho.reshape(-1)).reshape(dim, dim)
+    lv = _liouvillian(dim, res)
+    rho_dag = rho.conj().T
+    h1 = _unpack(lv @ _pack(0.5 * (rho + rho_dag)), dim)
+    h2 = _unpack(lv @ _pack(-0.5j * (rho - rho_dag)), dim)
+    return h1 + 1j * h2
 
 
-def _rk4_step(lv: sp.csr_matrix, rho: np.ndarray, h: float) -> np.ndarray:
-    v = rho.reshape(-1)
-    k1 = lv @ v
-    k2 = lv @ (v + (0.5 * h) * k1)
-    k3 = lv @ (v + (0.5 * h) * k2)
-    k4 = lv @ (v + h * k3)
-    rho = (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(rho.shape)
-    # roundoff accumulates asymmetry; fold it back every step
-    return 0.5 * (rho + rho.conj().T)
+def _rk4_step(
+    lv: sp.csr_matrix, x: np.ndarray, h: float, acc: np.ndarray, stage: np.ndarray
+) -> None:
+    """x += h/6 (k1 + 2 k2 + 2 k3 + k4), in place; acc and stage are
+    scratch vectors of x's size."""
+    k = lv @ x
+    np.copyto(acc, k)
+    np.multiply(k, 0.5 * h, out=stage)
+    stage += x
+    for c in (0.5 * h, h):
+        k = lv @ stage
+        np.multiply(k, c, out=stage)
+        stage += x
+        k *= 2.0
+        acc += k
+    acc += lv @ stage
+    acc *= h / 6.0
+    x += acc
 
 
-def _check_trace(rho: np.ndarray) -> None:
-    drift = abs(np.trace(rho).real - 1.0)
+def _check_trace(trace: float) -> None:
+    drift = abs(trace - 1.0)
     if drift > TRACE_TOL:
         raise TraceDriftExceeded(
             f"trace drift {drift:.3e} exceeds {TRACE_TOL:g}; reduce dt "
             "(the stability limit shrinks as dim grows)"
+        )
+
+
+def _check_hermitian(rho: np.ndarray) -> None:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ConfigError(f"rho0 must be a square matrix, got shape {rho.shape}")
+    gap = np.abs(rho - rho.conj().T).max()
+    if not (gap <= HERMITIAN_TOL * np.abs(rho).max()):
+        raise ConfigError(
+            f"rho0 is not Hermitian: |rho - rho^dag| reaches {gap:.3e}"
         )
 
 
@@ -234,8 +356,9 @@ def integrate(
 ) -> np.ndarray:
     """Propagate rho0 to time t with fixed-step RK4 (default dt 1e-3/Gamma).
 
-    The state is re-hermitized every step and the trace is only monitored
-    — never renormalized — so drift stays an honest diagnostic.
+    The state evolves as its dim^2 real Hermitian coordinates, so the
+    result is Hermitian by construction. The trace is only monitored —
+    never renormalized — so drift stays an honest diagnostic.
     """
     return evolve_recording(rho0, res, [t], dt)[0]
 
@@ -247,14 +370,25 @@ def evolve_recording(
     dt: float | None = None,
 ) -> list[np.ndarray]:
     """Propagate once through a nondecreasing list of times, returning a
-    density-matrix snapshot at each."""
+    density-matrix snapshot at each.
+
+    rho0 must be Hermitian to HERMITIAN_TOL of its largest entry; it is
+    read from its upper triangle into Hermitian coordinates once, and a
+    complex snapshot is written back from them at each time.
+    """
     if dt is None:
         dt = 1e-3 / res.gamma
     if not (dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
-    rho = np.array(rho0, dtype=complex)
-    _check_trace(rho)
-    lv = _liouvillian(rho.shape[0], res)
+    rho0 = np.asarray(rho0)
+    _check_hermitian(rho0)
+    dim = rho0.shape[0]
+    x = _pack(rho0)
+    s_rows, s_cols, _, _ = _triangles(dim)
+    diagonal = np.flatnonzero(s_rows == s_cols)
+    _check_trace(x[diagonal].sum())
+    lv = _liouvillian(dim, res)
+    acc, stage = np.empty_like(x), np.empty_like(x)
     out: list[np.ndarray] = []
     t_now = 0.0
     for target in times:
@@ -265,10 +399,10 @@ def evolve_recording(
             n_steps = max(1, round(span / dt))
             h = span / n_steps
             for _ in range(n_steps):
-                rho = _rk4_step(lv, rho, h)
-                _check_trace(rho)
+                _rk4_step(lv, x, h, acc, stage)
+                _check_trace(x[diagonal].sum())
         t_now = target
-        out.append(rho.copy())
+        out.append(_unpack(x, dim))
     return out
 
 

@@ -19,7 +19,13 @@ from functools import reduce
 import numpy as np
 
 from .elementwise import FloatOrArray
-from .errors import ConfigError, ImmediateTransition, NonFiniteResult, SingularSmoothing
+from .errors import (
+    ConfigError,
+    ImmediateTransition,
+    NonFiniteResult,
+    SingularSmoothing,
+    UnresolvedDensity,
+)
 from .evolution import evolved_descriptor
 from .reservoir import ReservoirParams, Times, noise_envelope
 from .states import DescriptorTerm, StateSpec
@@ -33,6 +39,10 @@ _BISECT_TOL = 1e-10
 _DIP_REL = 1e-9
 # A grid minimum above this threshold counts as "nonnegative" in scans.
 NEGATIVITY_THRESHOLD = -1e-12
+# The depth scan's threshold on R(z) over the sum of its terms' moduli at z,
+# and the smallest such sum that still carries full double precision.
+RELATIVE_NEGATIVITY_THRESHOLD = -1e-12
+_RESOLVED = np.finfo(float).tiny / np.finfo(float).eps
 # Scan grid spacing, and the width at which a scan's bisection stops.
 SCAN_STEP = 0.05
 SCAN_TOL = 1e-3
@@ -109,7 +119,8 @@ def transition_time(state: StateSpec, res: ReservoirParams) -> float | None:
         return tau_raw(state, res, gt / gamma)
 
     gts = _SCAN_GTS
-    vals = tau_raw(state, res, gts / gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN reported below
+        vals = tau_raw(state, res, gts / gamma)
     undefined = np.flatnonzero(np.isnan(vals))
     if len(undefined):
         raise NonFiniteResult(
@@ -348,17 +359,51 @@ def min_r_on_grid(state: StateSpec, res: ReservoirParams, t: float, tau: float) 
     return float(r_function_grid(state, res, t, tau, z).min())
 
 
+def _relative_min_on_grid(
+    state: StateSpec, res: ReservoirParams, t: float, tau: float
+) -> float:
+    """Smallest R(z) / sum_k |R_k(z)| over min_r_on_grid's window, R_k
+    being the smoothed descriptor terms that sum to R.
+
+    Each point's negativity is measured against the terms that cancel to
+    give it, so a large cat's fringes count however far they lie below the
+    grid's largest value. Points where that sum is below _RESOLVED, where
+    underflow has cost the terms their precision, read 0; a term below
+    _RESOLVED on the whole grid raises UnresolvedDensity.
+    """
+    center, half_width = _scan_window(state, res, t)
+    z = _scan_points(center, half_width).reshape(-1)
+    total = np.zeros(z.size)
+    scale = np.zeros(z.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for term in evolved_descriptor(state, res, t).terms:
+            r = _smoothed_term(term, tau, z)
+            total += r.real
+            size = np.abs(r)
+            if size.max() < _RESOLVED:  # False on NaN, an overflow reported below
+                raise UnresolvedDensity(
+                    f"a smoothed term stays below {_RESOLVED:.1e} on the scan "
+                    f"grid at tau = {tau:.6g}; its negativity cannot be "
+                    "resolved in double precision"
+                )
+            scale += size
+    if not np.isfinite(scale).all():
+        raise SingularSmoothing("smoothed density overflows; increase tau or t")
+    ratio = np.divide(total, scale, out=np.zeros(z.size), where=scale >= _RESOLVED)
+    return float(ratio.min())
+
+
 def tau_m_by_negativity_scan(state: StateSpec, res: ReservoirParams, t: float) -> float:
     """Numeric depth: bisect, to SCAN_TOL, the smallest tau whose grid
-    minimum clears the negativity threshold.  Validates the closed-form
-    rows."""
+    clears RELATIVE_NEGATIVITY_THRESHOLD (see _relative_min_on_grid).
+    Validates the closed-form rows."""
     desc = evolved_descriptor(state, res, t)
     min_c = min(min(term.c_r, term.c_i) for term in desc.terms)
     lo = 0.0 if min_c > 0.0 else -4.0 * min_c + 1e-9
 
     def negative(tau: float) -> bool:
         try:
-            return min_r_on_grid(state, res, t, tau) < NEGATIVITY_THRESHOLD
+            return _relative_min_on_grid(state, res, t, tau) < RELATIVE_NEGATIVITY_THRESHOLD
         except SingularSmoothing:
             # every coefficient is positive from lo on, so the density
             # overflowed: a large cat's coherences under little smoothing

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -443,6 +444,25 @@ def test_overflowing_state_exits_three(tmp_path, capsys):
     doc = dict(THERMAL_SCENARIO, state={"kind": "coherent", "gamma": 1e150})
     assert main(["evolve", "--config", write_config(tmp_path, doc)]) == 3
     assert "numerical error: OverflowError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "transition-time"])
+@pytest.mark.parametrize(
+    "state", [{"kind": "coherent", "gamma": 1.0}, {"kind": "thermal", "nbar": 1.0}]
+)
+def test_float_range_reservoir_prints_only_the_error(tmp_path, capsys, command, state):
+    # nbar0 = 1.7e308 makes N infinite, so N (1 - u) is inf * 0 at t = 0;
+    # NumPy's RuntimeWarning about it must not precede the error line
+    doc = {
+        "state": state,
+        "reservoir": {"nbar0": 1.7e308, "r": 0.1, "theta": 0.0},
+        "time_grid": {"start": 0.0, "stop": 1.0, "step": 0.25},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):

@@ -31,9 +31,10 @@ from sqbath import (
     tau_profile,
     tau_raw,
     transition_time,
+    UnresolvedDensity,
 )
 from sqbath import fock_oracle
-from sqbath.nonclassicality import NEGATIVITY_THRESHOLD
+from sqbath.nonclassicality import NEGATIVITY_THRESHOLD, SCAN_TOL
 
 SQRT2 = math.sqrt(2.0)
 R_SAT = ReservoirParams(N=1.0, M=-SQRT2)
@@ -401,6 +402,19 @@ def test_depth_scan_matches_closed_form(state, res, gt):
     # 8); the scan checks it on the cat's own density, coherences included
     scanned = tau_m_by_negativity_scan(state, res, gt)
     assert abs(scanned - tau_m(state, res, gt)) <= 5e-3
+
+
+def test_depth_scan_resolves_large_cat_fringes():
+    # near its depth Cat(6)'s fringes lie about 1e-17 below zero, under the
+    # absolute NEGATIVITY_THRESHOLD; against the terms that cancel to give
+    # them they are still resolved
+    state = Cat(6.0, 0.0)
+    scanned = tau_m_by_negativity_scan(state, R_TH, 0.1)
+    assert abs(scanned - tau_m(state, R_TH, 0.1)) <= SCAN_TOL
+    # at |gamma| = 20 the coherences' weight underflows: the scan says so
+    # instead of returning a depth
+    with pytest.raises(UnresolvedDensity, match="cannot be resolved"):
+        tau_m_by_negativity_scan(Cat(20.0, 0.0), R_TH, 0.1)
 
 
 def test_onset_scan_matches_crossing():
