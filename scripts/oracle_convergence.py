@@ -51,7 +51,8 @@ def main() -> int:
 
     print("\n== dimension sweep (dt 1e-3) ==")
     print(f"{'dim':>10} {'worst |dm|':>12} {'seconds':>8}")
-    for dim in (24, 32, 48, 64):
+    # LEAKAGE_BOUND rejects dims below 56 at the default state
+    for dim in (56, 64, 80, 96):
         t0 = time.perf_counter()
         try:
             dev = worst_dev(state, res, t, dim, 1e-3)

@@ -281,12 +281,12 @@ def csv_blocks(cfg: RunConfig) -> Iterator[str]:
     nothing is written for a failed render.
     """
     state, res, outputs = cfg.state, cfg.reservoir, cfg.outputs
-    m0 = initial_moments(state)
     gts = cfg.time_grid.points()
     values = np.zeros((len(gts), len(CSV_COLUMNS)))
     na = np.zeros(values.shape, dtype=bool)
     values[:, 0] = gts
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        m0 = initial_moments(state)
         env = noise_envelope(res, gts / res.gamma)
         if "moments" in outputs:
             mean_a, values[:, 3] = evolved_means(m0, res, env)

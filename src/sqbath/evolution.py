@@ -11,12 +11,12 @@ the random variable
 with xi an independent zero-mean noise of formal variances
 Var(xi_r) = (N_t + M_t)/2, Var(xi_i) = (N_t - M_t)/2 and zero covariance.
 Both pictures are implemented: descriptor transport for pointwise
-evaluation, and a binomial moment map for observables.
+evaluation, and for observables the moment table of that sum, one
+``binomial_convolution`` of the scaled initial table with the noise table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .states import (
     MomentTable,
     PDescriptor,
     StateSpec,
+    binomial_convolution,
     complex_noise_moments,
     gaussian_moment_table,
     initial_moments,
@@ -89,26 +90,14 @@ def evolve_moments(m0: MomentTable, res: ReservoirParams, t: float) -> MomentTab
     """Moment table at time t from the table at t = 0.
 
     <a^dag^j a^k>(t) = sum_{p,q} C(j,p) C(k,q) e^{-Gamma t (j-p+k-q)}
-                       <a^dag^{j-p} a^{k-q}>(0) E[xi*^p xi^q].
+                       <a^dag^{j-p} a^{k-q}>(0) E[xi*^p xi^q]:
+    m0 scaled by e^{-Gamma t (j+k)} (Python's pow), convolved with the noise table.
     """
     sm = GaussianSmoothing.from_reservoir(res, t)
-    x = complex_noise_moments(2.0 * sm.add_r, 2.0 * sm.add_i)
-    k = sm.scale
-
-    def entry(j: int, kk: int) -> complex:
-        acc = 0.0 + 0.0j
-        for p in range(j + 1):
-            for q in range(kk + 1):
-                acc += (
-                    comb(j, p)
-                    * comb(kk, q)
-                    * k ** ((j - p) + (kk - q))
-                    * m0[j - p, kk - q]
-                    * x[p, q]
-                )
-        return acc
-
-    return MomentTable.build(entry)
+    j, k = np.indices(m0.array.shape)
+    powers = np.array([sm.scale**n for n in range(2 * MAX_ORDER + 1)])
+    noise = complex_noise_moments(2.0 * sm.add_r, 2.0 * sm.add_i)
+    return MomentTable(binomial_convolution(powers[j + k] * m0.array, noise))
 
 
 def evolved_means(
@@ -206,19 +195,15 @@ def descriptor_moments(desc: PDescriptor) -> MomentTable:
 
         m[j, k] += 4 lap j k m[j-1, k-1] - j g* m[j-1, k] - k g m[j, k-1].
     """
+    j, k = np.indices((MAX_ORDER + 1, MAX_ORDER + 1))
     acc = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=complex)
     for term in desc.terms:
         base = gaussian_moment_table(
             term.center, term.center_bar, 2.0 * term.c_r, 2.0 * term.c_i
         ).array
         part = base.copy()
-        for j in range(MAX_ORDER + 1):
-            for k in range(MAX_ORDER + 1 - j):
-                if j and k:
-                    part[j, k] += 4.0 * term.lap * j * k * base[j - 1, k - 1]
-                if j:
-                    part[j, k] -= j * np.conj(term.grad) * base[j - 1, k]
-                if k:
-                    part[j, k] -= k * term.grad * base[j, k - 1]
+        part[1:, 1:] += 4.0 * term.lap * (j * k)[1:, 1:] * base[:-1, :-1]
+        part[1:] -= np.conj(term.grad) * j[1:] * base[:-1]
+        part[:, 1:] -= term.grad * k[:, 1:] * base[:, :-1]
         acc += term.weight * part
     return MomentTable(acc)

@@ -111,7 +111,8 @@ def prepare(state: StateSpec, dim: int = DEFAULT_DIM) -> np.ndarray:
 
     The exact state is projected onto the truncated space; if the top
     tenth of the ladder holds more than the leakage budget the dimension
-    is rejected, otherwise the projection is renormalized to unit trace.
+    is rejected, otherwise the projection is renormalized to unit trace
+    and made exactly Hermitian (v v^dag is so only to rounding).
     """
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
@@ -158,7 +159,7 @@ def prepare(state: StateSpec, dim: int = DEFAULT_DIM) -> np.ndarray:
         raise ConfigError(f"unknown state kind: {type(state).__name__}")
 
     _check_leakage(rho, type(state).__name__)
-    return rho / np.trace(rho).real
+    return (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
 
 
 @lru_cache(maxsize=None)

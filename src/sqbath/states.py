@@ -7,7 +7,10 @@ superposition (cat) states.
 Two exact representations are produced for each:
 
 * a ``MomentTable`` of normally ordered moments <a^dag^j a^k> up to total
-  order 4, computed in closed form;
+  order 4: a Gaussian family's is its centre's point table convolved with
+  the noise table (``binomial_convolution``, the table of an independent
+  sum), a photon-added state's one fixed shift of its base state's, and a
+  cat's a point table times a parity weight;
 * a ``PDescriptor``: the state's diagonal-coherent-state weight written as
   a sum of ``DescriptorTerm``s, each a weight times a first- and
   second-order differential prefactor times a Gaussian-smoothed delta.
@@ -17,17 +20,17 @@ Two exact representations are produced for each:
   centres are not complex conjugates, so once smoothed they are Gaussians
   with complex axis centres and complex weights.
 
-Gaussian-family moments come from one formal-moment helper that accepts
-*signed* axis variances (a squeezed axis has a negative formal variance;
-every moment identity is polynomial in the variance, so the analytic
-continuation is exact).
+The noise table accepts *signed* axis variances (a squeezed axis has a
+negative formal variance; every moment identity is polynomial in the
+variance, so the analytic continuation is exact).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -175,12 +178,8 @@ class PhotonAddedCoherent:
         object.__setattr__(self, "gamma", complex(self.gamma))
 
     def moments(self) -> MomentTable:
-        g, gc = self.gamma, np.conj(self.gamma)
-
-        def coherent_base(j: int, k: int) -> complex:
-            return gc**j * g**k
-
-        return MomentTable.build(lambda j, k: _added_photon_entry(coherent_base, j, k))
+        g = self.gamma
+        return _added_photon(_point_table(g, np.conj(g), MAX_ORDER + 2, MAX_ORDER + 2))
 
     def descriptor(self) -> PDescriptor:
         norm = abs(self.gamma) ** 2 + 1.0
@@ -219,12 +218,9 @@ class PhotonAddedThermal:
             )
 
     def moments(self) -> MomentTable:
-        nb = self.nbar
-
-        def thermal_base(j: int, k: int) -> complex:
-            return factorial(j) * nb**j if j == k else 0.0
-
-        return MomentTable.build(lambda j, k: _added_photon_entry(thermal_base, j, k))
+        # <a^dag^j a^j> = j! nbar^j, to total order 6
+        diagonal = [factorial(j) * self.nbar**j for j in range(MAX_ORDER // 2 + 2)]
+        return _added_photon(np.diag(diagonal + [0.0, 0.0]))
 
     def descriptor(self) -> PDescriptor:
         c = self.nbar / 4.0
@@ -276,17 +272,15 @@ class Cat:
         return 1.0 + math.exp(-2.0 * abs(self.gamma) ** 2) * math.cos(self.phi)
 
     def moments(self) -> MomentTable:
-        g, gc = self.gamma, np.conj(self.gamma)
-        olap = math.exp(-2.0 * abs(g) ** 2)
-        norm = 2.0 * self.norm_factor
+        g, olap = self.gamma, math.exp(-2.0 * abs(self.gamma) ** 2)
         eip = complex(math.cos(self.phi), math.sin(self.phi))
-
-        def entry(j: int, k: int) -> complex:
-            branch = 1.0 + (-1.0) ** (j + k)
-            cross = olap * (eip * (-1.0) ** k + np.conj(eip) * (-1.0) ** j)
-            return gc**j * g**k * (branch + cross) / norm
-
-        return MomentTable.build(entry)
+        # the point table times the lobes' and coherences' weight, which
+        # depends on j and k only through their parities
+        w = [[1.0 + (-1.0) ** (j + k) + olap * (eip * (-1.0) ** k + eip.conjugate() * (-1.0) ** j)
+              for k in (0, 1)] for j in (0, 1)]
+        point = _point_table(g, np.conj(g), MAX_ORDER + 1, MAX_ORDER).tolist()
+        m = [[p * w[j % 2][k % 2] for k, p in enumerate(row)] for j, row in enumerate(point)]
+        return MomentTable(np.array(m) / (2.0 * self.norm_factor))
 
     def descriptor(self) -> PDescriptor:
         """The two lobes, and the coherences e^{-i phi} |g><-g| and
@@ -316,13 +310,22 @@ StateSpec = Union[
 
 # ---------------------------------------------------------------------------
 # moment tables
+#
+# The evolve CSV bytes depend on each table having the floats of the plain
+# scalar sum.  Two rules keep them: a complex x complex product is taken one
+# scalar at a time (NumPy's array complex multiply fuses multiply-adds), and
+# the second table of a convolution is real, so each array product is exact.
+
+_J, _K = np.indices((MAX_ORDER + 1, MAX_ORDER + 1))  # (j, k) of each entry
+_UNUSED = _J + _K > MAX_ORDER
+_ADDED_WEIGHTS = 1.0 + _J + _K, (_J * _K)[1:, 1:]  # (1 + j + k, j k) of _added_photon
 
 
 class MomentTable:
     """Normally ordered moments <a^dag^j a^k> for 0 <= j + k <= 4.
 
-    Entries with j + k > 4 of the backing (5, 5) array are unused and kept
-    at zero.  Hermiticity means m[j, k] = conj(m[k, j]); diagonal entries
+    Entries with j + k > 4 of the backing (5, 5) array are unused and set
+    to zero.  Hermiticity means m[j, k] = conj(m[k, j]); diagonal entries
     are real.
     """
 
@@ -332,16 +335,9 @@ class MomentTable:
         m = np.array(entries, dtype=complex)
         if m.shape != (MAX_ORDER + 1, MAX_ORDER + 1):
             raise ValueError(f"expected a (5, 5) array, got shape {m.shape}")
+        m[_UNUSED] = 0.0
         self._m = m
         self._m.setflags(write=False)
-
-    @classmethod
-    def build(cls, entry: Callable[[int, int], complex]) -> "MomentTable":
-        m = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=complex)
-        for j in range(MAX_ORDER + 1):
-            for k in range(MAX_ORDER + 1 - j):
-                m[j, k] = entry(j, k)
-        return cls(m)
 
     def __getitem__(self, jk: tuple[int, int]) -> complex:
         j, k = jk
@@ -385,15 +381,57 @@ class MomentTable:
 
     def check(self, tol: float = 1e-10) -> None:
         """Raise if normalization/hermiticity/positivity are violated."""
-        if abs(self._m[0, 0] - 1.0) > tol:
-            raise ConfigError(f"moment table not normalized: m00 = {self._m[0, 0]}")
-        for j in range(MAX_ORDER + 1):
-            for k in range(MAX_ORDER + 1 - j):
-                if abs(self._m[j, k] - np.conj(self._m[k, j])) > tol:
-                    raise ConfigError(f"hermiticity violated at ({j}, {k})")
+        m = self._m
+        if abs(m[0, 0] - 1.0) > tol:
+            raise ConfigError(f"moment table not normalized: m00 = {m[0, 0]}")
+        bad = np.argwhere(np.abs(m - m.conj().T) > tol)  # row by row
+        if len(bad):
+            raise ConfigError(f"hermiticity violated at ({bad[0, 0]}, {bad[0, 1]})")
         for j in (1, 2):
-            if self._m[j, j].real < -tol or abs(self._m[j, j].imag) > tol:
-                raise ConfigError(f"m{j}{j} must be real nonnegative: {self._m[j, j]}")
+            if m[j, j].real < -tol or abs(m[j, j].imag) > tol:
+                raise ConfigError(f"m{j}{j} must be real nonnegative: {m[j, j]}")
+
+
+@lru_cache(maxsize=None)
+def _convolution_terms(n: int) -> np.ndarray:
+    """The terms of ``binomial_convolution`` on (n, n) tables in the order
+    they are summed, entry (j, k) row by row, then p, then q: rows of the
+    flat indices of (j, k), a[j-p, k-q] and b[p, q], and C(j, p) C(k, q)."""
+    terms = np.array([
+        (j * n + k, (j - p) * n + k - q, p * n + q, comb(j, p) * comb(k, q))
+        for j in range(n) for k in range(n - j) for p in range(j + 1) for q in range(k + 1)
+    ]).T
+    terms.setflags(write=False)
+    return terms
+
+
+def binomial_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m[j, k] = sum_{p <= j, q <= k} C(j, p) C(k, q) a[j-p, k-q] b[p, q]
+    for j + k < n on (n, n) tables, zero elsewhere: the table <z*^j z^k> of
+    z_a + z_b from those of independent z_a and z_b.  b must be real (its
+    real part is read).  Each term is (C(j, p) C(k, q) a[j-p, k-q]) b[p, q],
+    summed in (p, q) order: the floats of the scalar double loop, and like
+    it silent on overflow."""
+    n = a.shape[0]
+    entry, at_a, at_b, weight = _convolution_terms(n)
+    b_terms = np.real(b).ravel()[at_b]
+    m = np.zeros(n * n, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m.real = np.bincount(entry, weight * a.real.ravel()[at_a] * b_terms, n * n)
+        if np.iscomplexobj(a):
+            m.imag = np.bincount(entry, weight * a.imag.ravel()[at_a] * b_terms, n * n)
+    return m.reshape(n, n)
+
+
+def _point_table(center: complex, center_bar: complex, n: int, order: int) -> np.ndarray:
+    """(n, n) table of center_bar^j center^k for j + k <= order, zero
+    elsewhere: the moments of the point (z, z*) = (center, center_bar)."""
+    powers = [center**k for k in range(n)]
+    bars = [center_bar**j for j in range(n)]
+    table = np.zeros((n, n), dtype=complex)
+    for j, bar in enumerate(bars[: order + 1]):
+        table[j, : order + 1 - j] = [bar * p for p in powers[: order + 1 - j]]
+    return table
 
 
 def _axis_moments(var: float, kmax: int) -> list[float]:
@@ -408,29 +446,15 @@ def _axis_moments(var: float, kmax: int) -> list[float]:
 
 def complex_noise_moments(var_r: float, var_i: float, order: int = MAX_ORDER) -> np.ndarray:
     """E[xi*^p xi^q] for xi = xi_r + i xi_i with independent zero-mean
-    axes of formal variance var_r, var_i; p + q <= order."""
-    er = _axis_moments(var_r, order)
-    ei = _axis_moments(var_i, order)
-    x = np.zeros((order + 1, order + 1), dtype=complex)
-    for p in range(order + 1):
-        for q in range(order + 1 - p):
-            acc = 0.0 + 0.0j
-            for u in range(p + 1):
-                for v in range(q + 1):
-                    nr = u + v
-                    ni = (p - u) + (q - v)
-                    if nr % 2 or ni % 2:
-                        continue
-                    acc += (
-                        comb(p, u)
-                        * comb(q, v)
-                        * (-1j) ** (p - u)
-                        * (1j) ** (q - v)
-                        * er[nr]
-                        * ei[ni]
-                    )
-            x[p, q] = acc
-    return x
+    axes of formal variance var_r, var_i; p + q <= order.  It is the table
+    of i xi_i, (-1)^((q-p)/2) E[xi_i^(p+q)], convolved with the table
+    E[xi_r^(p+q)] of xi_r."""
+    p, q = np.indices((order + 1, order + 1))
+    pad = [0.0] * order
+    real_axis = np.array(_axis_moments(var_r, order) + pad)[p + q]
+    imag_axis = np.array(_axis_moments(var_i, order) + pad)[p + q]
+    imag_axis[(q - p) % 4 == 2] *= -1.0
+    return binomial_convolution(imag_axis, real_axis)
 
 
 def gaussian_moment_table(
@@ -439,35 +463,21 @@ def gaussian_moment_table(
     """Moment table of beta = center + xi, beta* = center_bar + xi*, for
     the formal Gaussian noise described by ``complex_noise_moments``.
     A density has center_bar = conj(center); a coherence does not."""
-    x = complex_noise_moments(var_r, var_i)
-    cc = center_bar
-
-    def entry(j: int, k: int) -> complex:
-        acc = 0.0 + 0.0j
-        for p in range(j + 1):
-            for q in range(k + 1):
-                acc += (
-                    comb(j, p)
-                    * comb(k, q)
-                    * cc ** (j - p)
-                    * center ** (k - q)
-                    * x[p, q]
-                )
-        return acc
-
-    return MomentTable.build(entry)
+    point = _point_table(center, center_bar, MAX_ORDER + 1, MAX_ORDER)
+    return MomentTable(binomial_convolution(point, complex_noise_moments(var_r, var_i)))
 
 
-def _added_photon_entry(base: Callable[[int, int], complex], j: int, k: int) -> complex:
+def _added_photon(base: np.ndarray) -> MomentTable:
     """<a^dag^j a^k> on the normalized state a^dag rho a / tr(a^dag rho a),
     from normal-ordering a a^dag^j a^k a^dag against the base state:
     a a^dag^j a^k a^dag = a^dag^{j+1} a^{k+1} + (1+j+k) a^dag^j a^k
-                          + j k a^dag^{j-1} a^{k-1}.
+                          + j k a^dag^{j-1} a^{k-1};
+    ``base`` is the base state's (6, 6) table, to total order 6.
     """
-    num = base(j + 1, k + 1) + (1 + j + k) * base(j, k)
-    if j and k:
-        num += j * k * base(j - 1, k - 1)
-    return num / (base(1, 1) + 1.0)
+    diagonal, inner = _ADDED_WEIGHTS
+    num = base[1:, 1:] + diagonal * base[:-1, :-1]
+    num[1:, 1:] += inner * base[:-2, :-2]
+    return MomentTable(num / (base[1, 1] + 1.0))
 
 
 def initial_moments(state: StateSpec) -> MomentTable:

@@ -446,6 +446,25 @@ def test_overflowing_state_exits_three(tmp_path, capsys):
     assert "numerical error: OverflowError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"kind": "photon_added_coherent", "gamma": 1e52},
+        {"kind": "coherent", "gamma": [1e80, 3e79]},
+        {"kind": "thermal", "nbar": 1e200},
+    ],
+)
+def test_overflowing_moment_table_prints_only_the_error(tmp_path, capsys, state):
+    # the moment table holds inf or NaN; evolve reports the first
+    # non-finite cell, with no NumPy RuntimeWarning before that line
+    doc = dict(THERMAL_SCENARIO, state=state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["evolve", "transition-time"])
 @pytest.mark.parametrize(
     "state", [{"kind": "coherent", "gamma": 1.0}, {"kind": "thermal", "nbar": 1.0}]

@@ -106,6 +106,28 @@ def test_prepare_cat_interference_sign():
     assert diag[1] > 0.1
 
 
+@pytest.mark.parametrize("dim", [64, 128, 256])
+@pytest.mark.parametrize(
+    "state",
+    [
+        Coherent(0.7 - 0.4j),
+        Thermal(1.3),
+        SqueezedCoherent(0.3 + 0.2j, 0.4),
+        PhotonAddedCoherent(0.8 + 0.3j),
+        PhotonAddedThermal(0.9),
+        Cat(1.1 + 0.4j, 0.7),
+    ],
+)
+def test_prepared_states_are_exactly_hermitian(state, dim):
+    # v v^dag is Hermitian only to rounding for a complex v; prepare
+    # returns a Hermitian part, which the Hermitian coordinates carry
+    # unchanged into the t = 0 snapshot
+    rho = prepare(state, dim)
+    assert np.array_equal(rho, rho.conj().T)
+    (snap,) = evolve_recording(rho, R_MIX, [0.0])
+    assert np.array_equal(snap, rho)
+
+
 def test_truncation_guard_carries_hint():
     with pytest.raises(TruncationTooSmall, match="dim >= 16"):
         prepare(Thermal(4.0), 8)

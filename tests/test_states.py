@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -180,6 +182,103 @@ def test_moment_table_bounds():
     m = initial_moments(Thermal(1.0))
     with pytest.raises(KeyError):
         m[3, 2]
+
+
+# ---------------------------------------------------------------------------
+# the entries the evolve CSV reads, against scalar Python loops
+#
+# The CSV reads m[0, 0], m[0, 1], m[0, 2], m[2, 0], m[1, 1] and m[2, 2].
+# Its bytes are pinned on the floats of the loops below: one scalar
+# complex product at a time (NumPy's array complex multiply fuses
+# multiply-adds), powers from scalar pow, terms added in (p, q) order, and
+# NumPy's scalar complex division.  An array shortcut that rounds
+# differently fails here.
+
+CSV_ENTRIES = ((0, 0), (0, 1), (0, 2), (2, 0), (1, 1), (2, 2))
+
+
+def _axis_moment(var, n):
+    out = 1.0
+    for m in range(2, n + 1, 2):
+        out = out * (m - 1) * var
+    return 0.0 if n % 2 else out
+
+
+def _noise_moment(var_r, var_i, p, q):
+    acc = 0j
+    for u in range(p + 1):
+        for v in range(q + 1):
+            nr, ni = u + v, p - u + q - v
+            if nr % 2 == 0 and ni % 2 == 0:
+                acc += (
+                    comb(p, u) * comb(q, v) * (-1j) ** (p - u) * (1j) ** (q - v)
+                    * _axis_moment(var_r, nr) * _axis_moment(var_i, ni)
+                )
+    return acc
+
+
+def _gaussian_moment(center, var_r, var_i, j, k):
+    cc = np.conj(center)
+    acc = 0j
+    for p in range(j + 1):
+        for q in range(k + 1):
+            acc += (
+                comb(j, p) * comb(k, q) * cc ** (j - p) * center ** (k - q)
+                * _noise_moment(var_r, var_i, p, q)
+            )
+    return acc
+
+
+def _added_photon_moment(base, j, k):
+    num = base(j + 1, k + 1) + (1 + j + k) * base(j, k)
+    if j and k:
+        num += j * k * base(j - 1, k - 1)
+    return num / (base(1, 1) + 1.0)
+
+
+def _reference_moment(state, j, k):
+    if isinstance(state, Coherent):
+        return _gaussian_moment(state.gamma, 0.0, 0.0, j, k)
+    if isinstance(state, Thermal):
+        return _gaussian_moment(0.0, state.nbar / 2.0, state.nbar / 2.0, j, k)
+    if isinstance(state, SqueezedCoherent):
+        s = state.s
+        return _gaussian_moment(state.gamma, (1.0 - s) / (4.0 * s), (s - 1.0) / 4.0, j, k)
+    if isinstance(state, PhotonAddedCoherent):
+        g = state.gamma
+        return _added_photon_moment(lambda a, b: np.conj(g) ** a * g**b, j, k)
+    if isinstance(state, PhotonAddedThermal):
+        nb = state.nbar
+        return _added_photon_moment(
+            lambda a, b: factorial(a) * nb**a if a == b else 0.0, j, k
+        )
+    g, gc = state.gamma, np.conj(state.gamma)
+    eip = complex(math.cos(state.phi), math.sin(state.phi))
+    branch = 1.0 + (-1.0) ** (j + k)
+    cross = math.exp(-2.0 * abs(g) ** 2) * (eip * (-1.0) ** k + np.conj(eip) * (-1.0) ** j)
+    return gc**j * g**k * (branch + cross) / (2.0 * state.norm_factor)
+
+
+def _seeded_states(per_family):
+    rng = random.Random(20261019)
+
+    def amplitude():
+        return cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+
+    for _ in range(per_family):
+        yield Coherent(amplitude())
+        yield Thermal(rng.uniform(0.05, 3.0))
+        yield SqueezedCoherent(amplitude(), rng.uniform(-1.0, 1.0))
+        yield PhotonAddedCoherent(amplitude())
+        yield PhotonAddedThermal(rng.uniform(0.05, 3.0))
+        yield Cat(amplitude(), rng.uniform(0.0, 2.0 * math.pi - 1e-3))
+
+
+def test_csv_entries_equal_the_scalar_loops():
+    for state in _seeded_states(300):
+        table = initial_moments(state).array
+        for j, k in CSV_ENTRIES:
+            assert table[j, k] == _reference_moment(state, j, k), (state, j, k)
 
 
 # ---------------------------------------------------------------------------
