@@ -37,17 +37,14 @@ from .states import (
     Cat,
     Coherent,
     MomentTable,
-    PDescriptor,
     PhotonAddedCoherent,
     PhotonAddedThermal,
     SqueezedCoherent,
     StateSpec,
     Thermal,
     initial_moments,
-    initial_p_descriptor,
 )
 from .evolution import (
-    GaussianSmoothing,
     evolve_moments,
     evolved_descriptor,
     evolved_means,
@@ -59,7 +56,6 @@ from .nonclassicality import (
     classicality_onset_by_scan,
     closed_form_transition_time,
     gaussian_tau_from_covariance,
-    min_r_on_grid,
     r_function,
     r_function_grid,
     steady_tau,

@@ -16,7 +16,7 @@ evaluation, and for observables the moment table of that sum, one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,64 +25,42 @@ from .errors import DegenerateDenominator, NonFiniteResult
 from .reservoir import ReservoirParams, Times, noise_envelope
 from .states import (
     MAX_ORDER,
+    DescriptorTerm,
     MomentTable,
-    PDescriptor,
     StateSpec,
     binomial_convolution,
     complex_noise_moments,
     gaussian_moment_table,
     initial_moments,
-    initial_p_descriptor,
 )
 
 
-@dataclass(frozen=True)
-class GaussianSmoothing:
-    """The reservoir's action on a descriptor after time t.
-
-    scale : amplitude contraction e^{-Gamma t}
-    add_r : Gaussian coefficient added on the real axis, (N_t + M_t)/4
-    add_i : Gaussian coefficient added on the imaginary axis, (N_t - M_t)/4
-    """
-
-    scale: FloatOrArray
-    add_r: FloatOrArray
-    add_i: FloatOrArray
-
-    @classmethod
-    def from_reservoir(cls, res: ReservoirParams, t: Times) -> "GaussianSmoothing":
-        """At one time t, or with array fields over an array of times."""
-        env = noise_envelope(res, t)
-        return cls(
-            scale=env.k,
-            add_r=(env.n_t + env.m_t) / 4.0,
-            add_i=(env.n_t - env.m_t) / 4.0,
-        )
-
-
-def evolved_descriptor(state: StateSpec, res: ReservoirParams, t: float) -> PDescriptor:
+def evolved_descriptor(
+    state: StateSpec, res: ReservoirParams, t: float
+) -> tuple[DescriptorTerm, ...]:
     """Transport the t = 0 descriptor to time t.
 
     Both centres contract by e^{-Gamma t}; the initial Gaussian
-    coefficients damp by e^{-2 Gamma t} and the reservoir coefficients add
-    on top; the prefactor's second- and first-order coefficients pick up
-    the contraction's chain-rule factors e^{-2 Gamma t} and e^{-Gamma t}.
+    coefficients damp by e^{-2 Gamma t} and the reservoir coefficients
+    (N_t + M_t)/4 and (N_t - M_t)/4 add on top; the prefactor's second-
+    and first-order coefficients pick up the contraction's chain-rule
+    factors e^{-2 Gamma t} and e^{-Gamma t}.
     """
-    sm = GaussianSmoothing.from_reservoir(res, t)
-    k, k2 = sm.scale, sm.scale * sm.scale
-    return PDescriptor(
-        tuple(
-            replace(
-                term,
-                center=term.center * k,
-                center_bar=term.center_bar * k,
-                c_r=term.c_r * k2 + sm.add_r,
-                c_i=term.c_i * k2 + sm.add_i,
-                lap=term.lap * k2,
-                grad=term.grad * k,
-            )
-            for term in initial_p_descriptor(state).terms
+    env = noise_envelope(res, t)
+    k, k2 = env.k, env.k * env.k
+    add_r = (env.n_t + env.m_t) / 4.0
+    add_i = (env.n_t - env.m_t) / 4.0
+    return tuple(
+        replace(
+            term,
+            center=term.center * k,
+            center_bar=term.center_bar * k,
+            c_r=term.c_r * k2 + add_r,
+            c_i=term.c_i * k2 + add_i,
+            lap=term.lap * k2,
+            grad=term.grad * k,
         )
+        for term in state.descriptor()
     )
 
 
@@ -93,10 +71,13 @@ def evolve_moments(m0: MomentTable, res: ReservoirParams, t: float) -> MomentTab
                        <a^dag^{j-p} a^{k-q}>(0) E[xi*^p xi^q]:
     m0 scaled by e^{-Gamma t (j+k)} (Python's pow), convolved with the noise table.
     """
-    sm = GaussianSmoothing.from_reservoir(res, t)
+    env = noise_envelope(res, t)
+    n_t, m_t = env.n_t, env.m_t
     j, k = np.indices(m0.array.shape)
-    powers = np.array([sm.scale**n for n in range(2 * MAX_ORDER + 1)])
-    noise = complex_noise_moments(2.0 * sm.add_r, 2.0 * sm.add_i)
+    powers = np.array([env.k**n for n in range(2 * MAX_ORDER + 1)])
+    # twice the descriptor's (N_t +- M_t)/4, not (N_t +- M_t)/2: the two
+    # round differently where N_t is subnormal
+    noise = complex_noise_moments(2.0 * ((n_t + m_t) / 4.0), 2.0 * ((n_t - m_t) / 4.0))
     return MomentTable(binomial_convolution(powers[j + k] * m0.array, noise))
 
 
@@ -114,8 +95,8 @@ def evolved_means(
     rounding.
     """
     env = noise_envelope(res, t)
-    sm = GaussianSmoothing.from_reservoir(res, env)
-    var_r, var_i = 2.0 * sm.add_r, 2.0 * sm.add_i
+    n_t, m_t = env.n_t, env.m_t
+    var_r, var_i = 2.0 * ((n_t + m_t) / 4.0), 2.0 * ((n_t - m_t) / 4.0)  # as evolve_moments
     mean_a = env.k * m0.mean_a
     # k ** 2 as the table computes it: Python's pow, not k * k
     mean_n = env.k2 * m0.mean_n + m0[0, 0].real * (var_i + var_r)
@@ -184,7 +165,7 @@ def quadrature_variances(
     return vx, vy
 
 
-def descriptor_moments(desc: PDescriptor) -> MomentTable:
+def descriptor_moments(desc: tuple[DescriptorTerm, ...]) -> MomentTable:
     """Integrate a descriptor against amplitude monomials.
 
     Each term's smoothed delta gives a Gaussian moment table; its
@@ -197,7 +178,7 @@ def descriptor_moments(desc: PDescriptor) -> MomentTable:
     """
     j, k = np.indices((MAX_ORDER + 1, MAX_ORDER + 1))
     acc = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=complex)
-    for term in desc.terms:
+    for term in desc:
         base = gaussian_moment_table(
             term.center, term.center_bar, 2.0 * term.c_r, 2.0 * term.c_i
         ).array

@@ -11,7 +11,8 @@ equation
             - Gamma  M*   (2 a rho a - a a rho - rho a a),
 
 as one sparse superoperator, and a displaced-number series for the
-smoothed phase-space densities. With M real the superoperator is real, and
+smoothed phase-space densities, evaluated on separable grids (a single
+point is a 1 x 1 grid). With M real the superoperator is real, and
 rho = S + iA (S real symmetric, A real antisymmetric) evolves as dim^2 real
 Hermitian coordinates, S's upper triangle and A's strict upper one: one
 real sparse product per RK4 stage, and snapshots that are Hermitian by
@@ -52,7 +53,6 @@ DEFAULT_DIM = 64
 TRACE_TOL = 1e-6
 LEAKAGE_BOUND = 1e-12
 HERMITIAN_TOL = 1e-12
-SERIES_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -70,11 +70,6 @@ def _displacement_generator(z: complex, dim: int) -> sp.csr_matrix:
 def _squeeze_generator(xi: complex, dim: int) -> sp.csr_matrix:
     a, ad = _ladder(dim)
     return 0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad))
-
-
-def displacement(z: complex, dim: int) -> np.ndarray:
-    """D(z) = exp(z adag - z* a) on the truncated space."""
-    return expm(_displacement_generator(z, dim).toarray())
 
 
 def squeeze(xi: complex, dim: int) -> np.ndarray:
@@ -447,31 +442,9 @@ def _series_weights(tau: float, dim: int) -> np.ndarray:
 
 
 def quasiprob_from_rho(rho: np.ndarray, z: complex, tau: float) -> float:
-    """Smoothed density at z from the displaced-number series
-
-        R(z, tau) = 1/(pi tau) sum_n [-(1-tau)/tau]^n <n| D†(z) rho D(z) |n>,
-
-    convergent for tau in (1/2, 1]; terms are summed until the residual
-    bound drops below 1e-10.
-    """
-    if not (0.5 < tau <= 1.0):
-        raise SeriesDiverges(f"series requires tau in (1/2, 1], got {tau}")
-    dim = rho.shape[0]
-    d = displacement(z, dim)
-    diag = np.real(np.einsum("in,ij,jn->n", d.conj(), rho, d))
-    ratio = abs((1.0 - tau) / tau)
-    # suffix maxima let us stop as soon as the rest of the series is dust
-    suffix = np.maximum.accumulate(np.abs(diag)[::-1])[::-1]
-    acc = 0.0
-    sign = 1.0
-    r_pow = 1.0
-    for n in range(dim):
-        if r_pow * suffix[n] < SERIES_TOL:
-            break
-        acc += sign * r_pow * diag[n]
-        sign = -sign
-        r_pow *= ratio
-    return acc / (math.pi * tau)
+    """Smoothed density at z: quasiprob_grid's series on a 1 x 1 grid."""
+    z = complex(z)
+    return float(quasiprob_grid(rho, np.array([z.real]), np.array([z.imag]), tau)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -484,38 +457,34 @@ def _position_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, w
 
 
-def _position_exp(dim: int, y: float) -> np.ndarray:
-    """exp(i y (adag + a)) = W e^{i y mu} W^T."""
+def _disp_imag(dim: int, y: float) -> np.ndarray:
+    """D(iy) = exp(i y (adag + a)) = W e^{i y mu} W^T."""
     mu, w = _position_basis(dim)
     return (w * np.exp(1j * y * mu)) @ w.T
 
 
-@lru_cache(maxsize=None)
-def _disp_imag(dim: int, y: float) -> np.ndarray:
-    d = _position_exp(dim, y)
-    d.setflags(write=False)
-    return d
-
-
-@lru_cache(maxsize=None)
 def _disp_real(dim: int, x: float) -> np.ndarray:
-    """exp(x (adag - a)) = R exp(i x (adag + a)) R^dag with R = diag((-i)^n),
-    since R (adag + a) R^dag = -i (adag - a); the result is real."""
+    """D(x) = exp(x (adag - a)) = R exp(i x (adag + a)) R^dag with
+    R = diag((-i)^n), since R (adag + a) R^dag = -i (adag - a); the result
+    is real."""
     r = np.array([1.0, -1j, -1.0, 1j])[np.arange(dim) % 4]
-    d = np.ascontiguousarray((r[:, None] * _position_exp(dim, x) * r.conj()).real)
-    d.setflags(write=False)
-    return d
+    return np.ascontiguousarray((r[:, None] * _disp_imag(dim, x) * r.conj()).real)
 
 
 def quasiprob_grid(
     rho: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau: float
 ) -> np.ndarray:
-    """Same series as quasiprob_from_rho on a separable grid, shape
-    (len(ys), len(xs)).
+    """Smoothed density from the displaced-number series
+
+        R(z, tau) = 1/(pi tau) sum_n [-(1-tau)/tau]^n <n| D†(z) rho D(z) |n>,
+
+    convergent for tau in (1/2, 1] and summed over all dim levels, on a
+    separable grid z = x + iy, shape (len(ys), len(xs)).
 
     Uses D(x + iy) = e^{-i x y} D(iy) D(x); the phase cancels under
-    conjugation, and the two one-parameter displacement families are
-    cached, so each grid point costs one matrix product.
+    conjugation.  Each D(x) and D(iy) is built once per call from the
+    cached eigenbasis of adag + a, so each grid point costs one matrix
+    product.
     """
     if not (0.5 < tau <= 1.0):
         raise SeriesDiverges(f"series requires tau in (1/2, 1], got {tau}")

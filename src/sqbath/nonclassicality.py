@@ -9,6 +9,14 @@ defined on the state classes in ``states`` (``depth``, with the candidate
 zero crossings in ``crossing_roots``), and this module clamps them below
 at zero.  The raw (unclamped) profile is what crosses zero at the
 classicality transition.
+
+The smoothed density R(z, tau) is evaluated term by term on an array of
+points (``r_function_grid``; ``r_function`` is its one-point case).  The
+grid scans that check the closed forms numerically share one sign test:
+a point is negative where R falls below RELATIVE_NEGATIVITY_THRESHOLD
+times the sum of its terms' moduli, so a large cat's fringes count
+however small they are.  The depth scan bisects tau at fixed t, the onset
+scan t at tau = 0.
 """
 from __future__ import annotations
 
@@ -37,10 +45,8 @@ _BISECT_TOL = 1e-10
 # A scan point counts as a dip towards zero only where both neighbours
 # exceed it by more than this share of its size.
 _DIP_REL = 1e-9
-# A grid minimum above this threshold counts as "nonnegative" in scans.
-NEGATIVITY_THRESHOLD = -1e-12
-# The depth scan's threshold on R(z) over the sum of its terms' moduli at z,
-# and the smallest such sum that still carries full double precision.
+# The scans' threshold on R(z) over the sum of its terms' moduli at z, and
+# the smallest such sum that still carries full double precision.
 RELATIVE_NEGATIVITY_THRESHOLD = -1e-12
 _RESOLVED = np.finfo(float).tiny / np.finfo(float).eps
 # Scan grid spacing, and the width at which a scan's bisection stops.
@@ -283,6 +289,29 @@ def _smoothed_term(term: DescriptorTerm, tau: float, z: np.ndarray) -> np.ndarra
     return gauss
 
 
+def _smoothed_terms(
+    state: StateSpec, res: ReservoirParams, t: float, tau: float, z: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The evolved descriptor's terms smoothed by tau on a flat array of
+    points, and their sum R (complex where a cat's coherences enter).
+
+    Raises SingularSmoothing where a coefficient is not positive, or where
+    a term overflows: a coherence with complex axis centres (x0, y0) grows
+    like e^{(Im x0)^2 / a_r + (Im y0)^2 / a_i}.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        terms = [_smoothed_term(term, tau, z) for term in evolved_descriptor(state, res, t)]
+        total = reduce(np.add, terms)
+    # a term that is not finite leaves its component of the sum not finite
+    finite = np.isfinite(total)
+    if not finite.all():
+        raise SingularSmoothing(
+            f"smoothed density overflows at {finite.size - finite.sum()} of "
+            f"{finite.size} points; increase tau or t"
+        )
+    return terms, total
+
+
 def r_function_grid(
     state: StateSpec,
     res: ReservoirParams,
@@ -298,25 +327,13 @@ def r_function_grid(
     widths a = 4 (c + tau/4) times its prefactor.  A cat's coherences have
     complex axis centres and come in conjugate pairs, so the sum is real
     up to rounding, and its real part is returned.  Raises
-    SingularSmoothing where a coefficient is not positive, or where the
-    sum overflows: a coherence with complex axis centres (x0, y0) grows
-    like e^{(Im x0)^2 / a_r + (Im y0)^2 / a_i}.
+    SingularSmoothing as _smoothed_terms does.
     """
     if tau < 0.0:
         raise ConfigError(f"tau must be >= 0, got {tau}")
-    desc = evolved_descriptor(state, res, t)
     z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        terms = (_smoothed_term(term, tau, flat) for term in desc.terms)
-        out = np.real(reduce(np.add, terms))
-    finite = np.isfinite(out)
-    if not finite.all():
-        raise SingularSmoothing(
-            f"smoothed density overflows at {finite.size - finite.sum()} of "
-            f"{finite.size} points; increase tau or t"
-        )
-    return out.reshape(z.shape)
+    _, total = _smoothed_terms(state, res, t, tau, z.reshape(-1))
+    return np.real(total).reshape(z.shape)
 
 
 def r_function(
@@ -341,69 +358,73 @@ def _scan_window(
     state: StateSpec, res: ReservoirParams, t: float
 ) -> tuple[complex, float]:
     """Centre and half-width of the standard scan window."""
-    density = [
-        term for term in evolved_descriptor(state, res, t).terms if term.in_density
-    ]
+    density = [term for term in evolved_descriptor(state, res, t) if term.in_density]
     w = sum(term.weight for term in density)
     center = sum(term.weight * term.center for term in density) / w
     return center, 5.0 + max(abs(term.center) for term in density)
 
 
-def min_r_on_grid(state: StateSpec, res: ReservoirParams, t: float, tau: float) -> float:
-    """Minimum of the smoothed weight over the standard scan window:
-    centred on the weighted mean centre of the density terms (a cat's
-    coherences left out), half-width 5 + their largest |center|, with
-    points SCAN_STEP apart."""
-    center, half_width = _scan_window(state, res, t)
-    z = _scan_points(center, half_width)
-    return float(r_function_grid(state, res, t, tau, z).min())
-
-
 def _relative_min_on_grid(
     state: StateSpec, res: ReservoirParams, t: float, tau: float
 ) -> float:
-    """Smallest R(z) / sum_k |R_k(z)| over min_r_on_grid's window, R_k
-    being the smoothed descriptor terms that sum to R.
+    """Smallest R(z) / sum_k |R_k(z)| over the standard scan window, R_k
+    being the smoothed descriptor terms that sum to R.  The window is
+    centred on the weighted mean centre of the density terms (a cat's
+    coherences left out), with half-width 5 + their largest |center| and
+    points SCAN_STEP apart.
 
     Each point's negativity is measured against the terms that cancel to
     give it, so a large cat's fringes count however far they lie below the
     grid's largest value. Points where that sum is below _RESOLVED, where
     underflow has cost the terms their precision, read 0; a term below
-    _RESOLVED on the whole grid raises UnresolvedDensity.
+    _RESOLVED on the whole grid raises UnresolvedDensity, and an
+    overflowing one SingularSmoothing.
     """
     center, half_width = _scan_window(state, res, t)
     z = _scan_points(center, half_width).reshape(-1)
-    total = np.zeros(z.size)
+    terms, total = _smoothed_terms(state, res, t, tau, z)
     scale = np.zeros(z.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for term in evolved_descriptor(state, res, t).terms:
-            r = _smoothed_term(term, tau, z)
-            total += r.real
-            size = np.abs(r)
-            if size.max() < _RESOLVED:  # False on NaN, an overflow reported below
-                raise UnresolvedDensity(
-                    f"a smoothed term stays below {_RESOLVED:.1e} on the scan "
-                    f"grid at tau = {tau:.6g}; its negativity cannot be "
-                    "resolved in double precision"
-                )
-            scale += size
-    if not np.isfinite(scale).all():
-        raise SingularSmoothing("smoothed density overflows; increase tau or t")
-    ratio = np.divide(total, scale, out=np.zeros(z.size), where=scale >= _RESOLVED)
+    for r in terms:
+        size = np.abs(r)
+        if size.max() < _RESOLVED:
+            raise UnresolvedDensity(
+                f"a smoothed term stays below {_RESOLVED:.1e} on the scan "
+                f"grid at tau = {tau:.6g}; its negativity cannot be "
+                "resolved in double precision"
+            )
+        scale += size
+    ratio = np.divide(total.real, scale, out=np.zeros(z.size), where=scale >= _RESOLVED)
     return float(ratio.min())
+
+
+def _negative_on_grid(
+    state: StateSpec, res: ReservoirParams, t: float, tau: float
+) -> bool:
+    """The scans' one negativity test: _relative_min_on_grid below
+    RELATIVE_NEGATIVITY_THRESHOLD."""
+    return _relative_min_on_grid(state, res, t, tau) < RELATIVE_NEGATIVITY_THRESHOLD
+
+
+def _bisect_to_scan_tol(negative, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi], negative at lo and not at hi, to SCAN_TOL wide."""
+    while hi - lo > SCAN_TOL:
+        mid = 0.5 * (lo + hi)
+        if negative(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def tau_m_by_negativity_scan(state: StateSpec, res: ReservoirParams, t: float) -> float:
     """Numeric depth: bisect, to SCAN_TOL, the smallest tau whose grid
-    clears RELATIVE_NEGATIVITY_THRESHOLD (see _relative_min_on_grid).
-    Validates the closed-form rows."""
-    desc = evolved_descriptor(state, res, t)
-    min_c = min(min(term.c_r, term.c_i) for term in desc.terms)
+    passes _negative_on_grid.  Validates the closed-form rows."""
+    min_c = min(min(term.c_r, term.c_i) for term in evolved_descriptor(state, res, t))
     lo = 0.0 if min_c > 0.0 else -4.0 * min_c + 1e-9
 
     def negative(tau: float) -> bool:
         try:
-            return _relative_min_on_grid(state, res, t, tau) < RELATIVE_NEGATIVITY_THRESHOLD
+            return _negative_on_grid(state, res, t, tau)
         except SingularSmoothing:
             # every coefficient is positive from lo on, so the density
             # overflowed: a large cat's coherences under little smoothing
@@ -416,13 +437,7 @@ def tau_m_by_negativity_scan(state: StateSpec, res: ReservoirParams, t: float) -
         hi += 0.5  # depth beyond 1 never happens for catalogue states
         if hi > 4.0:
             raise ConfigError("no nonnegative smoothing found below tau = 4")
-    while hi - lo > SCAN_TOL:
-        mid = 0.5 * (lo + hi)
-        if negative(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect_to_scan_tol(negative, lo, hi)[1]
 
 
 def classicality_onset_by_scan(
@@ -432,24 +447,19 @@ def classicality_onset_by_scan(
     gt_hi: float,
 ) -> float:
     """Scaled time at which the evolved weight itself (tau = 0) stops
-    being negative on the scan grid, located by bisection to SCAN_TOL.
+    being negative on the scan grid (_negative_on_grid), located by
+    bisection to SCAN_TOL.
 
     The bracket [gt_lo, gt_hi] must straddle the onset.
     """
     gamma = res.gamma
 
     def negative(gt: float) -> bool:
-        return min_r_on_grid(state, res, gt / gamma, 0.0) < NEGATIVITY_THRESHOLD
+        return _negative_on_grid(state, res, gt / gamma, 0.0)
 
     if not negative(gt_lo):
         raise ConfigError(f"no negativity at the lower bracket Gamma*t = {gt_lo}")
     if negative(gt_hi):
         raise ConfigError(f"still negative at the upper bracket Gamma*t = {gt_hi}")
-    lo, hi = gt_lo, gt_hi
-    while hi - lo > SCAN_TOL:
-        mid = 0.5 * (lo + hi)
-        if negative(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect_to_scan_tol(negative, gt_lo, gt_hi)
     return 0.5 * (lo + hi)

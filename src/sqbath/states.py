@@ -11,7 +11,7 @@ Two exact representations are produced for each:
   the noise table (``binomial_convolution``, the table of an independent
   sum), a photon-added state's one fixed shift of its base state's, and a
   cat's a point table times a parity weight;
-* a ``PDescriptor``: the state's diagonal-coherent-state weight written as
+* a descriptor: the state's diagonal-coherent-state weight written as
   a sum of ``DescriptorTerm``s, each a weight times a first- and
   second-order differential prefactor times a Gaussian-smoothed delta.
   Every family uses the same term shape.  A cat's coherences
@@ -67,9 +67,9 @@ class Coherent:
     def moments(self) -> MomentTable:
         return gaussian_moment_table(self.gamma, np.conj(self.gamma), 0.0, 0.0)
 
-    def descriptor(self) -> PDescriptor:
+    def descriptor(self) -> tuple[DescriptorTerm, ...]:
         term = DescriptorTerm(1.0, self.gamma, np.conj(self.gamma), 0.0, 0.0)
-        return PDescriptor((term,))
+        return (term,)
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """|M_t| - N_t."""
@@ -93,9 +93,9 @@ class Thermal:
     def moments(self) -> MomentTable:
         return gaussian_moment_table(0.0, 0.0, self.nbar / 2.0, self.nbar / 2.0)
 
-    def descriptor(self) -> PDescriptor:
+    def descriptor(self) -> tuple[DescriptorTerm, ...]:
         c = self.nbar / 4.0
-        return PDescriptor((DescriptorTerm(1.0, 0.0, 0.0, c, c),))
+        return (DescriptorTerm(1.0, 0.0, 0.0, c, c),)
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """|M_t| - (N_t + nbar u)."""
@@ -134,11 +134,11 @@ class SqueezedCoherent:
             self.gamma, np.conj(self.gamma), (1.0 - s) / (4.0 * s), (s - 1.0) / 4.0
         )
 
-    def descriptor(self) -> PDescriptor:
+    def descriptor(self) -> tuple[DescriptorTerm, ...]:
         s = self.s
         c_r, c_i = (1.0 - s) / (8.0 * s), -(1.0 - s) / 8.0
         term = DescriptorTerm(1.0, self.gamma, np.conj(self.gamma), c_r, c_i)
-        return PDescriptor((term,))
+        return (term,)
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """Max of the two quadrature branches
@@ -181,13 +181,13 @@ class PhotonAddedCoherent:
         g = self.gamma
         return _added_photon(_point_table(g, np.conj(g), MAX_ORDER + 2, MAX_ORDER + 2))
 
-    def descriptor(self) -> PDescriptor:
+    def descriptor(self) -> tuple[DescriptorTerm, ...]:
         norm = abs(self.gamma) ** 2 + 1.0
         term = DescriptorTerm(
             1.0, self.gamma, np.conj(self.gamma), 0.0, 0.0,
             lap=1.0 / (4.0 * norm), grad=-self.gamma / norm,
         )
-        return PDescriptor((term,))
+        return (term,)
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """u/2 + sqrt(u^2/4 + M_t^2) - N_t, free of the amplitude."""
@@ -222,10 +222,10 @@ class PhotonAddedThermal:
         diagonal = [factorial(j) * self.nbar**j for j in range(MAX_ORDER // 2 + 2)]
         return _added_photon(np.diag(diagonal + [0.0, 0.0]))
 
-    def descriptor(self) -> PDescriptor:
+    def descriptor(self) -> tuple[DescriptorTerm, ...]:
         c = self.nbar / 4.0
         term = DescriptorTerm(1.0, 0.0, 0.0, c, c, lap=(self.nbar + 1.0) / 4.0)
-        return PDescriptor((term,))
+        return (term,)
 
     def depth(self, u: FloatOrArray, n_t: FloatOrArray, m_t: FloatOrArray) -> FloatOrArray:
         """(nbar+1)u/2 + sqrt(((nbar+1)u/2)^2 + M_t^2) - (N_t + nbar u)."""
@@ -282,20 +282,18 @@ class Cat:
         m = [[p * w[j % 2][k % 2] for k, p in enumerate(row)] for j, row in enumerate(point)]
         return MomentTable(np.array(m) / (2.0 * self.norm_factor))
 
-    def descriptor(self) -> PDescriptor:
+    def descriptor(self) -> tuple[DescriptorTerm, ...]:
         """The two lobes, and the coherences e^{-i phi} |g><-g| and
         e^{i phi} |-g><g|, weighted by their overlap <-g|g> = e^{-2|g|^2}."""
         g, gc = self.gamma, np.conj(self.gamma)
         w = 1.0 / (2.0 * self.norm_factor)
         cross = w * math.exp(-2.0 * abs(g) ** 2)
         eip = complex(math.cos(self.phi), math.sin(self.phi))
-        return PDescriptor(
-            (
-                DescriptorTerm(w, g, gc, 0.0, 0.0),
-                DescriptorTerm(w, -g, -gc, 0.0, 0.0),
-                DescriptorTerm(cross * eip.conjugate(), g, -gc, 0.0, 0.0),
-                DescriptorTerm(cross * eip, -g, gc, 0.0, 0.0),
-            )
+        return (
+            DescriptorTerm(w, g, gc, 0.0, 0.0),
+            DescriptorTerm(w, -g, -gc, 0.0, 0.0),
+            DescriptorTerm(cross * eip.conjugate(), g, -gc, 0.0, 0.0),
+            DescriptorTerm(cross * eip, -g, gc, 0.0, 0.0),
         )
 
     # the depth profile is the photon-added coherent one, term for term
@@ -519,13 +517,3 @@ class DescriptorTerm:
     def in_density(self) -> bool:
         """True for a term of the diagonal weight, False for a coherence."""
         return self.center_bar == np.conj(self.center)
-
-
-@dataclass(frozen=True)
-class PDescriptor:
-    terms: tuple[DescriptorTerm, ...]
-
-
-def initial_p_descriptor(state: StateSpec) -> PDescriptor:
-    """Exact diagonal-weight descriptor of the catalogue state at t = 0."""
-    return state.descriptor()

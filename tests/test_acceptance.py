@@ -339,16 +339,23 @@ def _oracle_depth(state, res, gt: float, dim: int = 64) -> float:
 
 def test_criterion_7_non_gaussian_spot_checks():
     worst_depth = 0.0
-    for state, gt in ((PhotonAddedCoherent(1.0), 0.05), (PhotonAddedThermal(1.0), 0.02)):
+    for state, gt in (
+        (PhotonAddedCoherent(1.0), 0.05),
+        (PhotonAddedThermal(1.0), 0.02),
+        (Cat(1.0, 0.0), 0.05),
+    ):
         ref = tau_m(state, R_MIX, gt / R_MIX.gamma)
         assert ref > 0.55  # the bisection window only reaches tau > 1/2
         worst_depth = max(worst_depth, abs(_oracle_depth(state, R_MIX, gt) - ref))
 
     onset_pac = classicality_onset_by_scan(PhotonAddedCoherent(1.0), R_MIX, 0.15, 0.35)
     onset_pat = classicality_onset_by_scan(PhotonAddedThermal(1.0), R_MIX, 0.15, 0.30)
+    # a cat's crossing is the photon-added coherent one (criterion 8)
+    onset_cat = classicality_onset_by_scan(Cat(1.0, 0.0), R_MIX, 0.15, 0.35)
     dev_onset = max(
         abs(onset_pac - 0.5 * math.log(5.0 / 3.0)),
         abs(onset_pat - 0.5 * math.log(2.0 / (3.0 - math.sqrt(3.0)))),
+        abs(onset_cat - 0.5 * math.log(5.0 / 3.0)),
     )
 
     ok = worst_depth <= 0.02 and dev_onset <= 5e-3
@@ -356,8 +363,9 @@ def test_criterion_7_non_gaussian_spot_checks():
         7,
         "non-Gaussian depth spot checks",
         ok,
-        f"oracle-grid depth dev {worst_depth:.3f} (<=0.02) for two "
-        f"photon-added states; sign-scan onset dev {dev_onset:.2e} (<=5e-3)",
+        f"oracle-grid depth dev {worst_depth:.3f} (<=0.02) and sign-scan "
+        f"onset dev {dev_onset:.2e} (<=5e-3) for two photon-added states "
+        f"and Cat(1, 0)",
     )
 
 

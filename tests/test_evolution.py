@@ -11,7 +11,6 @@ from sqbath import (
     Coherent,
     ConfigError,
     DegenerateDenominator,
-    GaussianSmoothing,
     PhotonAddedCoherent,
     PhotonAddedThermal,
     ReservoirParams,
@@ -22,7 +21,6 @@ from sqbath import (
     evolved_means,
     evolved_state_moments,
     initial_moments,
-    initial_p_descriptor,
     mandel_q,
     mt,
     nt,
@@ -45,8 +43,7 @@ def test_time_zero_is_identity():
     m0 = initial_moments(PhotonAddedCoherent(1.0))
     m = evolve_moments(m0, R_SAT, 0.0)
     np.testing.assert_allclose(m.array, m0.array, atol=0.0)
-    d0 = initial_p_descriptor(Thermal(1.0))
-    assert evolved_descriptor(Thermal(1.0), R_SAT, 0.0) == d0
+    assert evolved_descriptor(Thermal(1.0), R_SAT, 0.0) == Thermal(1.0).descriptor()
 
 
 def test_negative_time_rejected():
@@ -58,13 +55,15 @@ def test_negative_time_rejected():
 
 
 def test_smoothing_fields():
-    sm = GaussianSmoothing.from_reservoir(R_SAT, 0.4)
+    # a bare delta shows the reservoir's action alone: the contraction
+    # e^{-Gamma t} and the added coefficients (N_t +- M_t)/4
+    (term,) = evolved_descriptor(Coherent(1.0), R_SAT, 0.4)
     n_t, m_t = nt(R_SAT, 0.4), mt(R_SAT, 0.4)
-    assert sm.scale == pytest.approx(math.exp(-0.4), abs=1e-15)
-    assert sm.add_r == pytest.approx((n_t + m_t) / 4.0, abs=1e-15)
-    assert sm.add_i == pytest.approx((n_t - m_t) / 4.0, abs=1e-15)
-    # add_r + add_i = N_t / 2 is nonnegative for every reservoir
-    assert sm.add_r + sm.add_i == pytest.approx(n_t / 2.0, abs=1e-15)
+    assert term.center == pytest.approx(math.exp(-0.4), abs=1e-15)
+    assert term.c_r == pytest.approx((n_t + m_t) / 4.0, abs=1e-15)
+    assert term.c_i == pytest.approx((n_t - m_t) / 4.0, abs=1e-15)
+    # c_r + c_i = N_t / 2 is nonnegative for every reservoir
+    assert term.c_r + term.c_i == pytest.approx(n_t / 2.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("res", [R_SAT, R_MIX, R_TH])
@@ -140,7 +139,7 @@ def test_moment_laws_with_scaled_rate():
 def test_thermal_descriptor_evolution():
     nb, gt = 1.0, 0.7
     desc = evolved_descriptor(Thermal(nb), R_MIX, gt)
-    (term,) = desc.terms
+    (term,) = desc
     u = math.exp(-2.0 * gt)
     assert term.center == 0.0
     assert term.c_r == pytest.approx(
@@ -154,7 +153,7 @@ def test_thermal_descriptor_evolution():
 def test_squeezed_descriptor_evolution():
     state = SqueezedCoherent(1.0, 1.0)
     s, gt = state.s, 0.4
-    (term,) = evolved_descriptor(state, R_MIX, gt).terms
+    (term,) = evolved_descriptor(state, R_MIX, gt)
     u = math.exp(-2.0 * gt)
     assert term.center == pytest.approx(math.exp(-gt) * 1.0, abs=1e-15)
     assert term.c_r == pytest.approx(
@@ -254,7 +253,7 @@ def test_variances_long_time_limit(res):
 def test_variance_ties_to_descriptor_coefficient(gt):
     # V_X(t) = 1/4 + 2 c_r(t) for single-Gaussian descriptors
     for state in (Thermal(1.0), SqueezedCoherent(0.6, 0.8)):
-        (term,) = evolved_descriptor(state, R_MIX, gt).terms
+        (term,) = evolved_descriptor(state, R_MIX, gt)
         vx, vy = quadrature_variances(initial_moments(state), R_MIX, gt)
         assert vx == pytest.approx(0.25 + 2.0 * term.c_r, abs=1e-13)
         assert vy == pytest.approx(0.25 + 2.0 * term.c_i, abs=1e-13)

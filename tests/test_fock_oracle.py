@@ -24,7 +24,6 @@ from sqbath.fock_oracle import (
     _pack,
     _unpack,
     coherent_vector,
-    displacement,
     evolve_recording,
     integrate,
     lindblad_rhs,
@@ -149,7 +148,9 @@ def test_prepare_rejects_tiny_dim():
 def test_prepare_squeezed_matches_dense_exponentials(gamma, mu, dim):
     # the sparse exponential actions must land on D(gamma) S(mu) e_0 built
     # from dense matrix exponentials in the same doubled space
-    v = (displacement(gamma, 2 * dim) @ squeeze(mu, 2 * dim)[:, 0])[:dim]
+    a, ad = _dense_ladder(2 * dim)
+    d = expm(gamma * ad - np.conj(gamma) * a)
+    v = (d @ squeeze(mu, 2 * dim)[:, 0])[:dim]
     ref = np.outer(v, v.conj())
     ref /= np.trace(ref).real
     np.testing.assert_allclose(prepare(SqueezedCoherent(gamma, mu), dim), ref, rtol=0, atol=1e-12)
@@ -421,6 +422,7 @@ def test_series_divergence_guard():
 
 @pytest.mark.parametrize("dim", [16, 64, 128])
 def test_cached_displacements_match_expm(dim):
+    # D(x) and D(iy) from the cached eigenbasis of adag + a
     a, ad = _dense_ladder(dim)
     for v in (-2.3, -0.5, 0.7, 3.1):
         np.testing.assert_allclose(_disp_real(dim, v), expm(v * (ad - a)), rtol=0, atol=1e-12)
@@ -428,11 +430,20 @@ def test_cached_displacements_match_expm(dim):
 
 
 def test_grid_series_matches_scalar_series():
-    rho = prepare(PhotonAddedThermal(1.0), 64)
+    # the separable grid against the series written out with a dense
+    # D(z) = expm(z adag - z* a) at each point; a single point is the
+    # 1 x 1 grid
+    dim, tau = 64, 0.8
+    rho = prepare(PhotonAddedThermal(1.0), dim)
+    a, ad = _dense_ladder(dim)
+    weights = (-(1.0 - tau) / tau) ** np.arange(dim) / (math.pi * tau)
     xs = np.array([-0.8, 0.0, 1.1])
     ys = np.array([-0.4, 0.7])
-    grid = quasiprob_grid(rho, xs, ys, 0.8)
+    grid = quasiprob_grid(rho, xs, ys, tau)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            scalar = quasiprob_from_rho(rho, complex(x, y), 0.8)
+            z = complex(x, y)
+            d = expm(z * ad - np.conj(z) * a)
+            scalar = float(np.real(np.einsum("in,ij,jn->n", d.conj(), rho, d)) @ weights)
             assert grid[iy, ix] == pytest.approx(scalar, abs=1e-9)
+            assert quasiprob_from_rho(rho, z, tau) == grid[iy, ix]

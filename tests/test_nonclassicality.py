@@ -21,7 +21,6 @@ from sqbath import (
     closed_form_transition_time,
     gaussian_tau_from_covariance,
     initial_moments,
-    min_r_on_grid,
     quadrature_variances,
     r_function,
     r_function_grid,
@@ -34,7 +33,11 @@ from sqbath import (
     UnresolvedDensity,
 )
 from sqbath import fock_oracle
-from sqbath.nonclassicality import NEGATIVITY_THRESHOLD, SCAN_TOL
+from sqbath.nonclassicality import (
+    RELATIVE_NEGATIVITY_THRESHOLD,
+    SCAN_TOL,
+    _relative_min_on_grid,
+)
 
 SQRT2 = math.sqrt(2.0)
 R_SAT = ReservoirParams(N=1.0, M=-SQRT2)
@@ -355,9 +358,9 @@ def test_overflowing_coherences_are_reported():
     with pytest.raises(SingularSmoothing, match="3631 of 58081.*increase tau or t"):
         r_function_grid(state, R_MIX, gt, 0.0, z)
     with pytest.raises(SingularSmoothing, match="increase tau or t"):
-        min_r_on_grid(state, R_MIX, gt, 0.0)
+        _relative_min_on_grid(state, R_MIX, gt, 0.0)
     # the Husimi density of the same state is finite and nonnegative
-    assert min_r_on_grid(state, R_MIX, gt, 1.0) >= NEGATIVITY_THRESHOLD
+    assert _relative_min_on_grid(state, R_MIX, gt, 1.0) >= RELATIVE_NEGATIVITY_THRESHOLD
 
 
 def test_negative_tau_rejected():
@@ -405,8 +408,8 @@ def test_depth_scan_matches_closed_form(state, res, gt):
 
 
 def test_depth_scan_resolves_large_cat_fringes():
-    # near its depth Cat(6)'s fringes lie about 1e-17 below zero, under the
-    # absolute NEGATIVITY_THRESHOLD; against the terms that cancel to give
+    # near its depth Cat(6)'s fringes lie about 1e-17 below zero, under an
+    # absolute threshold of -1e-12; against the terms that cancel to give
     # them they are still resolved
     state = Cat(6.0, 0.0)
     scanned = tau_m_by_negativity_scan(state, R_TH, 0.1)
@@ -417,10 +420,19 @@ def test_depth_scan_resolves_large_cat_fringes():
         tau_m_by_negativity_scan(Cat(20.0, 0.0), R_TH, 0.1)
 
 
-def test_onset_scan_matches_crossing():
-    state = PhotonAddedCoherent(1.0)
-    crossing = 0.5 * math.log(5.0 / 3.0)
-    onset = classicality_onset_by_scan(state, R_MIX, 0.15, 0.35)
+@pytest.mark.parametrize(
+    "state,res,gt_lo,gt_hi,crossing",
+    [
+        (PhotonAddedCoherent(1.0), R_MIX, 0.15, 0.35, 0.5 * math.log(5.0 / 3.0)),
+        (Cat(1.0, 0.0), R_MIX, 0.15, 0.35, 0.5 * math.log(5.0 / 3.0)),
+        # near the onset the fringes lie far below any absolute threshold:
+        # one of -1e-12 reads this onset as 0.2946
+        (Cat(6.0, 0.0), R_TH, 0.2, 0.5, 0.5 * math.log(2.0)),
+    ],
+    ids=["photon_added_coherent", "cat1", "cat6"],
+)
+def test_onset_scan_matches_crossing(state, res, gt_lo, gt_hi, crossing):
+    onset = classicality_onset_by_scan(state, res, gt_lo, gt_hi)
     assert abs(onset - crossing) <= 5e-3
 
 
@@ -428,5 +440,5 @@ def test_min_r_sign_tracks_depth():
     # the evolved weight itself is negative before the crossing and
     # nonnegative after it
     state = PhotonAddedCoherent(1.0)
-    assert min_r_on_grid(state, R_MIX, 0.2, 0.0) < -1e-6
-    assert min_r_on_grid(state, R_MIX, 0.3, 0.0) > -1e-12
+    assert _relative_min_on_grid(state, R_MIX, 0.2, 0.0) < -1e-6
+    assert _relative_min_on_grid(state, R_MIX, 0.3, 0.0) > -1e-12

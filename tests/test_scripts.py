@@ -42,3 +42,25 @@ def test_byte_digest_script_is_deterministic():
     ]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_reference_scenarios_script_runs(tmp_path):
+    # the four scenarios end to end on a short grid: every CSV and both
+    # charts written, and every numeric crossing on its closed form
+    script = os.path.join(ROOT, "scripts", "run_reference_scenarios.py")
+    done = subprocess.run(
+        [sys.executable, script, "--outdir", str(tmp_path), "--stop", "0.5", "--step", "0.05"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    names = [
+        "thermal_to_nonclassical", "squeezed_to_classical",
+        "photon_added_coherent", "photon_added_thermal",
+    ]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [f"{name}.csv" for name in names] + ["figure1.svg", "figure2.svg"]
+    )
+    rows = {line.split()[0]: line.split() for line in done.stdout.splitlines()[1:5]}
+    assert sorted(rows) == sorted(names)
+    for fields in rows.values():  # scenario, crossing, closed form, |delta|
+        assert len(fields) == 4 and float(fields[3]) < 1e-8, fields

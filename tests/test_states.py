@@ -18,7 +18,6 @@ from sqbath import (
     SqueezedCoherent,
     Thermal,
     initial_moments,
-    initial_p_descriptor,
 )
 from sqbath import fock_oracle
 
@@ -286,8 +285,7 @@ def test_csv_entries_equal_the_scalar_loops():
 
 
 def test_thermal_descriptor():
-    desc = initial_p_descriptor(Thermal(1.0))
-    (term,) = desc.terms
+    (term,) = Thermal(1.0).descriptor()
     assert term.center == 0.0
     assert term.c_r == 0.25
     assert term.c_i == 0.25
@@ -296,7 +294,7 @@ def test_thermal_descriptor():
 
 
 def test_coherent_descriptor_is_bare_delta():
-    (term,) = initial_p_descriptor(Coherent(0.5 + 0.2j)).terms
+    (term,) = Coherent(0.5 + 0.2j).descriptor()
     assert term.center == 0.5 + 0.2j
     assert term.c_r == 0.0 and term.c_i == 0.0
 
@@ -304,7 +302,7 @@ def test_coherent_descriptor_is_bare_delta():
 def test_squeezed_descriptor_coefficients():
     state = SqueezedCoherent(1.0, 1.0)
     s = math.exp(2.0)
-    (term,) = initial_p_descriptor(state).terms
+    (term,) = state.descriptor()
     assert term.c_r == pytest.approx((1.0 - s) / (8.0 * s), abs=1e-15)
     assert term.c_i == pytest.approx(-(1.0 - s) / 8.0, abs=1e-15)
     # the squeezed axis sits below the delta scale: a signed coefficient
@@ -312,9 +310,7 @@ def test_squeezed_descriptor_coefficients():
 
 
 def test_zero_squeezing_reduces_to_coherent():
-    sq = initial_p_descriptor(SqueezedCoherent(0.7, 0.0))
-    co = initial_p_descriptor(Coherent(0.7))
-    assert sq.terms == co.terms
+    assert SqueezedCoherent(0.7, 0.0).descriptor() == Coherent(0.7).descriptor()
     np.testing.assert_allclose(
         initial_moments(SqueezedCoherent(0.7, 0.0)).array,
         initial_moments(Coherent(0.7)).array,
@@ -329,7 +325,7 @@ def test_squeezed_variance_split():
     assert m.var_x() == pytest.approx(1.0 / (4.0 * s), abs=1e-13)
     assert m.var_y() == pytest.approx(s / 4.0, abs=1e-13)
     # variances tie back to the descriptor coefficients: V = 1/4 + 2c
-    (term,) = initial_p_descriptor(state).terms
+    (term,) = state.descriptor()
     assert m.var_x() == pytest.approx(0.25 + 2.0 * term.c_r, abs=1e-13)
     assert m.var_y() == pytest.approx(0.25 + 2.0 * term.c_i, abs=1e-13)
 
@@ -337,7 +333,7 @@ def test_squeezed_variance_split():
 def test_cat_descriptor_structure():
     state = Cat(1.0 + 0.5j, 0.5)
     g, gc = state.gamma, state.gamma.conjugate()
-    terms = initial_p_descriptor(state).terms
+    terms = state.descriptor()
     # two lobes, then the coherences |g><-g| and |-g><g|: the centres of
     # z and z* are (g, -g*) and (-g, g*)
     assert [(t.center, t.center_bar) for t in terms] == [
@@ -359,7 +355,7 @@ def test_cat_descriptor_structure():
 
 
 def test_added_thermal_descriptor_prefactor():
-    (term,) = initial_p_descriptor(PhotonAddedThermal(2.0)).terms
+    (term,) = PhotonAddedThermal(2.0).descriptor()
     assert term.c_r == 0.5
     assert term.lap == pytest.approx(0.75, abs=1e-15)
     assert term.grad == 0.0
@@ -367,7 +363,7 @@ def test_added_thermal_descriptor_prefactor():
 
 def test_added_coherent_descriptor_prefactor():
     g = 1.0 - 0.5j
-    (term,) = initial_p_descriptor(PhotonAddedCoherent(g)).terms
+    (term,) = PhotonAddedCoherent(g).descriptor()
     assert (term.center, term.center_bar) == (g, g.conjugate())
     assert term.c_r == 0.0 and term.c_i == 0.0
     assert term.lap == pytest.approx(1.0 / 9.0, abs=1e-15)
