@@ -10,13 +10,16 @@ equation
             - Gamma  M    (2 adag rho adag - adag adag rho - rho adag adag)
             - Gamma  M*   (2 a rho a - a a rho - rho a a),
 
-as one sparse superoperator, and a displaced-number series for the
-smoothed phase-space densities, evaluated on separable grids (a single
-point is a 1 x 1 grid). With M real the superoperator is real, and
-rho = S + iA (S real symmetric, A real antisymmetric) evolves as dim^2 real
-Hermitian coordinates, S's upper triangle and A's strict upper one: one
-real sparse product per RK4 stage, and snapshots that are Hermitian by
-construction. The trace is only monitored, never renormalized.
+as one sparse superoperator, its steady state, and a displaced-number
+series for the smoothed phase-space densities, evaluated on separable
+grids (a single point is a 1 x 1 grid). The superoperator is a sum of
+Kronecker products of ladder matrices, vec(X rho Y) = (X kron Y^T) vec(rho).
+With M real it is real, and rho = S + iA (S real symmetric, A real
+antisymmetric) evolves as dim^2 real Hermitian coordinates, S's upper
+triangle and A's strict upper one: one real sparse product per RK4 stage,
+and snapshots that are Hermitian by construction. The trace is only
+monitored, never renormalized. The steady state is the null vector of
+the same superoperator, normalized by its trace.
 Nothing here calls the analytic layer; agreement between the two routes
 is what the test suite certifies.
 """
@@ -27,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, spsolve
 
 from .errors import (
     ConfigError,
@@ -62,21 +64,6 @@ def _ladder(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return a, a.T.tocsr()
 
 
-def _displacement_generator(z: complex, dim: int) -> sp.csr_matrix:
-    a, ad = _ladder(dim)
-    return z * ad - np.conj(z) * a
-
-
-def _squeeze_generator(xi: complex, dim: int) -> sp.csr_matrix:
-    a, ad = _ladder(dim)
-    return 0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad))
-
-
-def squeeze(xi: complex, dim: int) -> np.ndarray:
-    """S(xi) = exp((xi* a^2 - xi adag^2)/2) on the truncated space."""
-    return expm(_squeeze_generator(xi, dim).toarray())
-
-
 def coherent_vector(gamma: complex, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[0] = math.exp(-0.5 * abs(gamma) ** 2)
@@ -85,16 +72,11 @@ def coherent_vector(gamma: complex, dim: int) -> np.ndarray:
     return v
 
 
-def _leakage(diag: np.ndarray) -> tuple[float, int]:
-    dim = diag.shape[0]
-    top = max(1, math.ceil(dim / 10))
-    return float(np.real(diag[dim - top :]).sum()), top
-
-
 def _check_leakage(rho: np.ndarray, what: str) -> None:
-    leak, top = _leakage(np.diag(rho))
+    dim = rho.shape[0]
+    top = max(1, math.ceil(dim / 10))
+    leak = float(np.diag(rho).real[dim - top :].sum())
     if not (leak < LEAKAGE_BOUND):
-        dim = rho.shape[0]
         raise TruncationTooSmall(
             f"{what}: population {leak:.3e} in the top {top} of {dim} levels "
             f"exceeds {LEAKAGE_BOUND:g}; retry with dim >= {2 * dim}"
@@ -124,11 +106,12 @@ def prepare(state: StateSpec, dim: int = DEFAULT_DIM) -> np.ndarray:
     elif isinstance(state, SqueezedCoherent):
         # build in a larger space and project so the vector below dim is
         # the exact state's amplitudes, not truncated-exponential ones
-        big = 2 * dim
-        v = np.zeros(big, dtype=complex)
+        a, ad = _ladder(2 * dim)
+        mu, gamma = state.mu, state.gamma
+        v = np.zeros(2 * dim, dtype=complex)
         v[0] = 1.0
-        v = expm_multiply(_squeeze_generator(state.mu, big), v)
-        v = expm_multiply(_displacement_generator(state.gamma, big), v)[:dim]
+        v = expm_multiply(0.5 * (np.conj(mu) * (a @ a) - mu * (ad @ ad)), v)  # S(mu)
+        v = expm_multiply(gamma * ad - np.conj(gamma) * a, v)[:dim]  # D(gamma)
         rho = np.outer(v, v.conj())
 
     elif isinstance(state, PhotonAddedCoherent):
@@ -186,104 +169,68 @@ def _unpack(x: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _row_entries(m: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(column, value) of each row of a ladder monomial, which has at most
-    one entry per row; an empty row reads as the value 0 in column 0."""
-    m = sp.csr_matrix(m)
-    counts = np.diff(m.indptr)
-    assert counts.max() <= 1, "a ladder monomial has at most one entry per row"
-    cols = np.zeros(m.shape[0], dtype=np.intp)
-    vals = np.zeros(m.shape[0])
-    full = counts == 1
-    cols[full] = m.indices
-    vals[full] = m.data
-    return cols, vals
-
-
-@lru_cache(maxsize=None)
-def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The module docstring's dissipators as real superoperators on the
-    Hermitian coordinates x of rho (see _pack), stored on one shared
-    sparsity pattern as (indptr, indices, values); rows 0, 1 and 2 of values
-    are the parts multiplied by N+1, N and -M.
+def _folded_dissipators(dim: int) -> list[sp.csr_matrix]:
+    """The three parts of the module docstring's master equation, the
+    dissipators that N+1, N and -M multiply, as real superoperators on the
+    Hermitian coordinates x of rho (see _pack).
 
     Each dissipator is 2 x rho y - y x rho - rho y x, and
-    vec(X rho Y) = (X kron Y^T) vec(rho) on row-major vec(rho). The ladder
-    matrices are real, so each part D is real and commutes with
-    transposition: it maps S to a symmetric and A to an antisymmetric
-    matrix, and is block diagonal in x. Each part is folded as R D E in
-    real arithmetic: E writes x into vec(rho) (S on both triangles, A with
-    -1 on the lower one), and R reads the two upper triangles back. A
-    ladder monomial has at most one entry per row, so every term of D has
-    at most one entry in each row of R D, evaluated there directly; a row's
-    entries are merged by sorting its columns, and each part's zeros are
-    dropped before the union is taken.
+    vec(X rho Y) = (X kron Y^T) vec(rho) on row-major vec(rho), so each part
+    D is a sum of weighted Kronecker products. The ladder matrices are
+    real, so D is real and commutes with transposition: it maps S to a
+    symmetric and A to an antisymmetric matrix, and is block diagonal in x.
+    Each block is folded as R D E: E writes the block's coordinates into
+    vec(rho) (S on both triangles, A with -1 on the lower one), and R reads
+    the upper triangle back.
 
-    The pattern is that union (about nine entries per row) and does not
-    depend on the reservoir: where N or M is zero the zeros stay stored,
-    so one RK4 step costs the same for every reservoir of a given dim.
-
-    A complex M would add a fourth part, -i Im(M) [D(adag, adag) - D(a, a)].
-    The bracket anticommutes with transposition, mapping S to an
-    antisymmetric and A to a symmetric matrix, so with the factor -i the
-    part fills the S <-> A cross blocks of the same coordinates; the
-    diagonal blocks built here stay as they are.
+    A complex M would add a fourth part, -i Im(M) [D(adag, adag) - D(a, a)],
+    which fills the S <-> A cross blocks of the same coordinates.
     """
     a, ad = (m.real for m in _ladder(dim))
     eye = sp.identity(dim, format="csr")
 
-    def dissipator(x: sp.csr_matrix, y: sp.csr_matrix) -> list:
-        # (weight, left, right) of each term weight * left @ rho @ right
+    def dissipator(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
         yx = y @ x
-        return [(2.0, x, y), (-1.0, yx, eye), (-1.0, eye, yx)]
+        return 2.0 * sp.kron(x, y.T) - sp.kron(yx, eye) - sp.kron(eye, yx.T)
 
     parts = [dissipator(a, ad), dissipator(ad, a), dissipator(ad, ad) + dissipator(a, a)]
-    # each term's (left row entries, right column entries), and its part
-    terms = [(w, _row_entries(x), _row_entries(y.T)) for p in parts for w, x, y in p]
-    term_part = np.repeat(np.arange(len(parts), dtype=np.int32), [len(p) for p in parts])
-
     s_rows, s_cols, a_rows, a_cols = _triangles(dim)
-    n_s, size = s_rows.size, dim * dim
-    # E as tables: the block (S, A) reads rho[k, l] as sign[k, l] times
-    # coordinate where[k, l]; A has no diagonal (sign 0)
-    where = np.zeros((2, dim, dim), dtype=np.int32)
-    sign = np.zeros((2, dim, dim))
-    where[0, s_rows, s_cols] = where[0, s_cols, s_rows] = np.arange(n_s)
-    where[1, a_rows, a_cols] = where[1, a_cols, a_rows] = np.arange(n_s, size)
-    sign[0] = 1.0
-    sign[1, a_rows, a_cols] = 1.0
-    sign[1, a_cols, a_rows] = -1.0
+    blocks = []
+    for rows, cols, sign in ((s_rows, s_cols, 1.0), (a_rows, a_cols, -1.0)):
+        coord = np.arange(rows.size)
+        upper, lower = rows * dim + cols, cols * dim + rows
+        # on S's diagonal, lower is upper and its weight 0 adds nothing
+        weights = np.r_[np.ones(rows.size), sign * (rows != cols)]
+        at = (np.r_[upper, lower], np.r_[coord, coord])
+        e = sp.csr_matrix((weights, at), shape=(dim * dim, rows.size))
+        blocks.append([d[upper] @ e for d in parts])  # R D E; R takes rows
+    return [sp.block_diag(pair, format="csr") for pair in zip(*blocks)]
 
-    counts, indices, values = [], [], []
-    # R: the block's coordinates are rho[i, j] over its upper triangle;
-    # one block at a time halves the temporaries
-    for where_b, sign_b, i, j in zip(where, sign, (s_rows, a_rows), (s_cols, a_cols)):
-        cols = np.empty((i.size, len(terms)), dtype=np.int32)
-        vals = np.empty((i.size, len(terms)))
-        for t, (w, (k, v_left), (l, v_right)) in enumerate(terms):
-            at = k[i] * dim + l[j]
-            cols[:, t] = where_b.ravel()[at]
-            vals[:, t] = w * v_left[i] * v_right[j] * sign_b.ravel()[at]
-        order = np.argsort(cols, axis=1, kind="stable")
-        cols = np.take_along_axis(cols, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        first = np.ones(cols.shape, dtype=bool)
-        first[:, 1:] = cols[:, 1:] != cols[:, :-1]
-        entry = np.cumsum(first, dtype=np.int32) - 1  # the merged entry of each cell
-        n = int(entry[-1]) + 1
-        sums = np.bincount(term_part[order].ravel() * n + entry, vals.ravel(), len(parts) * n)
-        sums = sums.reshape(len(parts), n)
-        keep = (sums != 0.0).any(axis=0)
-        counts.append(np.bincount(np.nonzero(first)[0][keep], minlength=i.size))
-        indices.append(cols[first][keep])
-        values.append(sums[:, keep])
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    indices = np.concatenate(indices)
-    values = np.concatenate(values, axis=1)
-    for arr in (indptr, indices, values):
+
+@lru_cache(maxsize=None)
+def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_folded_dissipators on one shared sparsity pattern, as
+    (indptr, indices, values); row p of values is part p.
+
+    The pattern is the union of the parts' nonzeros (about nine entries
+    per row) and does not depend on the reservoir: where N or M is zero
+    the zeros stay stored, so one RK4 step costs the same for every
+    reservoir of a given dim.
+    """
+    size = dim * dim
+    # the Kronecker temporaries are freed on return, before the union
+    parts = [f.tocoo() for f in _folded_dissipators(dim)]
+    union = sp.csr_matrix(sum(abs(f) for f in parts))
+    union.sort_indices()
+    # each part's entries, placed by row-major position in the union
+    where = np.repeat(np.arange(size, dtype=np.int64), np.diff(union.indptr)) * size
+    where += union.indices
+    values = np.zeros((len(parts), union.nnz))
+    for p, f in enumerate(parts):
+        values[p, np.searchsorted(where, f.row.astype(np.int64) * size + f.col)] = f.data
+    for arr in (union.indptr, union.indices, values):
         arr.setflags(write=False)
-    return indptr, indices, values
+    return union.indptr, union.indices, values
 
 
 def _liouvillian(dim: int, res: ReservoirParams) -> sp.csr_matrix:
@@ -471,6 +418,27 @@ def _disp_real(dim: int, x: float) -> np.ndarray:
     return np.ascontiguousarray((r[:, None] * _disp_imag(dim, x) * r.conj()).real)
 
 
+def displaced_populations(rho: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """<n| D†(z) rho D(z) |n> for every level n on a separable grid
+    z = x + iy, shape (len(ys), len(xs), dim).
+
+    Uses D(x + iy) = e^{-i x y} D(iy) D(x); the phase cancels under
+    conjugation.  Each D(x) and D(iy) is built once per call from the
+    cached eigenbasis of adag + a, so each grid point costs one matrix
+    product.
+    """
+    dim = rho.shape[0]
+    out = np.empty((len(ys), len(xs), dim))
+    dxs = [_disp_real(dim, float(x)) for x in xs]
+    for iy, y in enumerate(ys):
+        dy = _disp_imag(dim, float(y))
+        rho_y = dy.conj().T @ rho @ dy
+        for ix, dx in enumerate(dxs):
+            b = rho_y @ dx
+            out[iy, ix] = np.real(np.einsum("in,in->n", dx.conj(), b))
+    return out
+
+
 def quasiprob_grid(
     rho: np.ndarray, xs: np.ndarray, ys: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -479,50 +447,32 @@ def quasiprob_grid(
         R(z, tau) = 1/(pi tau) sum_n [-(1-tau)/tau]^n <n| D†(z) rho D(z) |n>,
 
     convergent for tau in (1/2, 1] and summed over all dim levels, on a
-    separable grid z = x + iy, shape (len(ys), len(xs)).
-
-    Uses D(x + iy) = e^{-i x y} D(iy) D(x); the phase cancels under
-    conjugation.  Each D(x) and D(iy) is built once per call from the
-    cached eigenbasis of adag + a, so each grid point costs one matrix
-    product.
+    separable grid z = x + iy, shape (len(ys), len(xs)); the populations
+    come from displaced_populations.  One dot product per point, so that a
+    point's value does not depend on the grid around it.
     """
     if not (0.5 < tau <= 1.0):
         raise SeriesDiverges(f"series requires tau in (1/2, 1], got {tau}")
-    dim = rho.shape[0]
-    w = _series_weights(tau, dim)
-    out = np.empty((len(ys), len(xs)), dtype=float)
-    dxs = [_disp_real(dim, float(x)) for x in xs]
-    for iy, y in enumerate(ys):
-        dy = _disp_imag(dim, float(y))
-        rho_y = dy.conj().T @ rho @ dy
-        for ix, dx in enumerate(dxs):
-            b = rho_y @ dx
-            diag = np.real(np.einsum("in,in->n", dx.conj(), b))
-            out[iy, ix] = diag @ w
-    return out
+    pops = displaced_populations(rho, xs, ys)
+    w = _series_weights(tau, rho.shape[0])
+    return np.array([p @ w for p in pops.reshape(-1, w.size)]).reshape(pops.shape[:2])
 
 
 def steady_state(res: ReservoirParams, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Fixed point of the master equation: a squeezed thermal state with
-    <adag a> = N and <a^2> = M.
+    """Fixed point of the truncated master equation: the solution of
+    L x = 0 on the Hermitian coordinates, with L's first row replaced by
+    tr rho = 1.
 
-    Inverting N + 1/2 = (nbar0 + 1/2) cosh(2r), |M| = (nbar0 + 1/2) sinh(2r)
-    gives the occupation and squeeze modulus; the squeeze phase is chosen
-    so that the constructed state actually reproduces the sign of M
-    (<a^2> on S(xi) rho_th S(xi)† is -e^{i arg xi} (2 nbar0 + 1) sh ch).
+    Each dissipator is traceless (cyclicity holds for the truncated ladder
+    matrices too), so the rows of L that give rho's diagonal sum to zero,
+    and the replaced row, d rho[0, 0]/dt, is implied by the others. The
+    solution is the truncated dynamics' fixed point at any dim, so the
+    leakage budget decides whether dim is tall enough.
     """
-    half = res.N + 0.5
-    rad = half * half - res.M * res.M
-    if rad <= 0.0:  # pragma: no cover - excluded by the M^2 bound
-        raise ConfigError("reservoir violates the squeezing bound")
-    c = 2.0 * math.sqrt(rad)
-    nbar0 = (c - 1.0) / 2.0
-    r = 0.5 * math.atanh(abs(res.M) / half)
-    xi = r if res.M <= 0.0 else -r
-
-    big = 2 * dim
-    x = nbar0 / (nbar0 + 1.0) if nbar0 > 0.0 else 0.0
-    w = x ** np.arange(big) / (nbar0 + 1.0)
-    s = squeeze(xi, big)
-    rho = (s @ np.diag(w.astype(complex)) @ s.conj().T)[:dim, :dim]
-    return rho / np.trace(rho).real
+    s_rows, s_cols, _, _ = _triangles(dim)
+    trace = np.zeros(dim * dim)
+    trace[: s_rows.size] = s_rows == s_cols
+    system = sp.vstack((sp.csr_matrix(trace), _liouvillian(dim, res)[1:]), format="csc")
+    rho = _unpack(spsolve(system, np.eye(1, dim * dim)[0]), dim)
+    _check_leakage(rho, "steady state")
+    return rho

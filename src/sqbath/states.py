@@ -421,11 +421,20 @@ def binomial_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m.reshape(n, n)
 
 
+def _pow(base: complex, k: int) -> complex:
+    """Python's base**k, with NaN for an overflow: complex pow raises
+    OverflowError for some phases and returns NaN for the others."""
+    try:
+        return base**k
+    except OverflowError:
+        return complex(math.nan, math.nan)
+
+
 def _point_table(center: complex, center_bar: complex, n: int, order: int) -> np.ndarray:
     """(n, n) table of center_bar^j center^k for j + k <= order, zero
     elsewhere: the moments of the point (z, z*) = (center, center_bar)."""
-    powers = [center**k for k in range(n)]
-    bars = [center_bar**j for j in range(n)]
+    powers = [_pow(center, k) for k in range(n)]
+    bars = [_pow(center_bar, j) for j in range(n)]
     table = np.zeros((n, n), dtype=complex)
     for j, bar in enumerate(bars[: order + 1]):
         table[j, : order + 1 - j] = [bar * p for p in powers[: order + 1 - j]]

@@ -319,9 +319,11 @@ def _oracle_depth(state, res, gt: float, dim: int = 64) -> float:
     center = fock_oracle.moments_from_rho(rho).mean_a
     xs = np.round(np.arange(center.real - 3.5, center.real + 3.501, 0.1), 6)
     ys = np.round(np.arange(center.imag - 3.5, center.imag + 3.501, 0.1), 6)
+    # the populations do not depend on tau; each step reweights them
+    pops = fock_oracle.displaced_populations(rho, xs, ys)
 
     def negative(tau: float) -> bool:
-        return float(fock_oracle.quasiprob_grid(rho, xs, ys, tau).min()) < -1e-12
+        return float((pops @ fock_oracle._series_weights(tau, dim)).min()) < -1e-12
 
     lo, hi = 0.553, 1.0  # series converges only above tau = 1/2
     if not negative(lo):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -16,6 +18,9 @@ from sqbath import (
     Thermal,
     TraceDriftExceeded,
     TruncationTooSmall,
+    fock_oracle,
+    gaussian_tau_from_covariance,
+    steady_tau,
 )
 from sqbath.fock_oracle import (
     _disp_imag,
@@ -31,7 +36,6 @@ from sqbath.fock_oracle import (
     prepare,
     quasiprob_from_rho,
     quasiprob_grid,
-    squeeze,
     steady_state,
 )
 
@@ -150,7 +154,8 @@ def test_prepare_squeezed_matches_dense_exponentials(gamma, mu, dim):
     # from dense matrix exponentials in the same doubled space
     a, ad = _dense_ladder(2 * dim)
     d = expm(gamma * ad - np.conj(gamma) * a)
-    v = (d @ squeeze(mu, 2 * dim)[:, 0])[:dim]
+    s = expm(0.5 * (np.conj(mu) * a @ a - mu * ad @ ad))
+    v = (d @ s[:, 0])[:dim]
     ref = np.outer(v, v.conj())
     ref /= np.trace(ref).real
     np.testing.assert_allclose(prepare(SqueezedCoherent(gamma, mu), dim), ref, rtol=0, atol=1e-12)
@@ -235,12 +240,56 @@ def test_rhs_vanishes_on_steady_state(res, dim):
     assert np.linalg.norm(lindblad_rhs(rho, res)) < 1e-8
 
 
+def test_steady_state_rejects_a_short_ladder():
+    # the solve is exact for the truncated dynamics at any dim; at dim 32
+    # the saturated fixed point holds 4.7e-6 in its top levels
+    with pytest.raises(TruncationTooSmall, match="steady state.*dim >= 64"):
+        steady_state(R_SAT, 32)
+
+
 def test_steady_state_moments():
     for res in (ReservoirParams(N=1.0, M=0.5), R_MIX):
         table = moments_from_rho(steady_state(res, 128))
         assert table.mean_n == pytest.approx(res.N, abs=1e-9)
         assert table.mean_a2 == pytest.approx(res.M, abs=1e-9)
         assert abs(table.mean_a) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "res,dim",
+    [
+        (R_SAT, 128),
+        (ReservoirParams(N=1.0, M=SQRT2), 128),
+        (ReservoirParams(N=0.5, M=-0.7), 64),
+        (R_MIX, 128),
+    ],
+)
+def test_steady_state_depth(res, dim):
+    # the solved fixed point is Gaussian; its depth from the smaller
+    # quadrature variance is the analytic t -> infinity limit
+    table = moments_from_rho(steady_state(res, dim))
+    depth = gaussian_tau_from_covariance(min(table.var_x(), table.var_y()))
+    assert abs(depth - steady_tau(res)) <= 1e-12
+
+
+def test_oracle_does_not_read_the_analytic_layer():
+    # the oracle is the independent route: it may read a state's
+    # parameters but not its analytic members, nor import the layers
+    # it is compared against
+    tree = ast.parse(inspect.getsource(fock_oracle))
+    banned_modules = {"evolution", "nonclassicality"}
+    banned_members = {"moments", "descriptor", "depth", "crossing_roots", "norm_factor"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        for name in names:
+            assert not banned_modules & set(name.split(".")), ast.unparse(node)
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in banned_members, ast.unparse(node)
 
 
 # ---------------------------------------------------------------------------
