@@ -29,9 +29,7 @@ from .reservoir import (
     PhysicalReservoirSpec,
     ReservoirParams,
     from_physical,
-    mt,
     noise_envelope,
-    nt,
 )
 from .states import (
     Cat,
@@ -56,7 +54,6 @@ from .nonclassicality import (
     classicality_onset_by_scan,
     closed_form_transition_time,
     gaussian_tau_from_covariance,
-    r_function,
     r_function_grid,
     steady_tau,
     tau_m,

@@ -86,13 +86,10 @@ class TimeGrid:
 class OracleConfig:
     enabled: bool = False
     dim: int = fock_oracle.DEFAULT_DIM
-    dt: float | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ConfigError(f"oracle.dim must be >= 2, got {self.dim}")
-        if self.dt is not None and not (self.dt > 0.0):
-            raise ConfigError(f"oracle.dt must be > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -222,10 +219,6 @@ def _reader(tp):
     if tp in _READERS:
         return _READERS[tp]
     args = get_args(tp)
-    if type(None) in args:  # X | None
-        (inner,) = set(args) - {type(None)}
-        read_inner = _reader(inner)
-        return lambda v, where: None if v is None else read_inner(v, where)
     if args:
         return _kinds(args)
     return _section(tp)
@@ -374,7 +367,7 @@ def _validate_targets(cfg: RunConfig) -> list[tuple[str, float, float]]:
     m0 = initial_moments(state)
 
     rho0 = fock_oracle.prepare(state, oracle.dim)
-    snaps = fock_oracle.evolve_recording(rho0, res, times, oracle.dt)
+    snaps = fock_oracle.evolve_recording(rho0, res, times)
 
     worst: dict[str, tuple[float, float]] = {}
 
@@ -451,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--oracle", action="store_true",
                     help="force-enable the oracle")
     pv.add_argument("--dim", type=int, help="override truncation dimension")
-    pv.add_argument("--dt", type=float, help="override integrator step")
     return p
 
 
@@ -479,8 +471,6 @@ def _run(args) -> int:
             oracle = replace(oracle, enabled=True)
         if args.dim is not None:
             oracle = replace(oracle, dim=args.dim)
-        if args.dt is not None:
-            oracle = replace(oracle, dt=args.dt)
         return cmd_validate(replace(cfg, oracle=oracle), sys.stdout)
 
     raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover

@@ -17,9 +17,11 @@ Kronecker products of ladder matrices, vec(X rho Y) = (X kron Y^T) vec(rho).
 With M real it is real, and rho = S + iA (S real symmetric, A real
 antisymmetric) evolves as dim^2 real Hermitian coordinates, S's upper
 triangle and A's strict upper one: one real sparse product per RK4 stage,
-and snapshots that are Hermitian by construction. The trace is only
-monitored, never renormalized. The steady state is the null vector of
-the same superoperator, normalized by its trace.
+and snapshots that are Hermitian by construction. The default step is
+taken from the superoperator itself, inside RK4's stability region at
+every dim (see RK4_STABLE_RADIUS). The trace is only monitored, never
+renormalized. The steady state is the null vector of the same
+superoperator, normalized by its trace.
 Nothing here calls the analytic layer; agreement between the two routes
 is what the test suite certifies.
 """
@@ -52,6 +54,14 @@ from .states import (
 )
 
 DEFAULT_DIM = 64
+# RK4's stability region contains the left half-disc of radius 2.61
+# (|R(z)| <= 1 checked on a fine polar grid), and every eigenvalue of the
+# dissipative L lies in the left half-plane within G, its largest absolute
+# row sum (Gershgorin), so the step RK4_STABLE_RADIUS / G is stable at every
+# dim and reservoir. A fixed fraction, not an option: stability is all the
+# step must give, as its error on the moments stays far below the 1e-6
+# agreement gate.
+RK4_STABLE_RADIUS = 2.5
 TRACE_TOL = 1e-6
 LEAKAGE_BOUND = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -275,6 +285,11 @@ def _rk4_step(
     x += acc
 
 
+def _stable_step(lv: sp.csr_matrix) -> float:
+    """RK4_STABLE_RADIUS over lv's largest absolute row sum."""
+    return RK4_STABLE_RADIUS / float(abs(lv).sum(axis=1).max())
+
+
 def _check_trace(trace: float) -> None:
     drift = abs(trace - 1.0)
     if drift > TRACE_TOL:
@@ -297,7 +312,8 @@ def _check_hermitian(rho: np.ndarray) -> None:
 def integrate(
     rho0: np.ndarray, res: ReservoirParams, t: float, dt: float | None = None
 ) -> np.ndarray:
-    """Propagate rho0 to time t with fixed-step RK4 (default dt 1e-3/Gamma).
+    """Propagate rho0 to time t with fixed-step RK4 (the step as in
+    evolve_recording).
 
     The state evolves as its dim^2 real Hermitian coordinates, so the
     result is Hermitian by construction. The trace is only monitored —
@@ -315,13 +331,15 @@ def evolve_recording(
     """Propagate once through a nondecreasing list of times, returning a
     density-matrix snapshot at each.
 
+    dt is the largest step; by default RK4_STABLE_RADIUS over the largest
+    absolute row sum of the Liouvillian. Each span between snapshot times
+    is cut into the fewest equal steps no longer than dt.
+
     rho0 must be Hermitian to HERMITIAN_TOL of its largest entry; it is
     read from its upper triangle into Hermitian coordinates once, and a
     complex snapshot is written back from them at each time.
     """
-    if dt is None:
-        dt = 1e-3 / res.gamma
-    if not (dt > 0.0):
+    if dt is not None and not (dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
     rho0 = np.asarray(rho0)
     _check_hermitian(rho0)
@@ -331,6 +349,8 @@ def evolve_recording(
     diagonal = np.flatnonzero(s_rows == s_cols)
     _check_trace(x[diagonal].sum())
     lv = _liouvillian(dim, res)
+    if dt is None:
+        dt = _stable_step(lv)
     acc, stage = np.empty_like(x), np.empty_like(x)
     out: list[np.ndarray] = []
     t_now = 0.0
@@ -339,7 +359,8 @@ def evolve_recording(
             raise ConfigError("snapshot times must be nondecreasing")
         span = target - t_now
         if span > 0.0:
-            n_steps = max(1, round(span / dt))
+            # the 1e-9 keeps a ratio that rounding lifts past an integer
+            n_steps = max(1, math.ceil(span / dt - 1e-9))
             h = span / n_steps
             for _ in range(n_steps):
                 _rk4_step(lv, x, h, acc, stage)
@@ -386,12 +407,6 @@ def moments_from_rho(rho: np.ndarray) -> MomentTable:
 def _series_weights(tau: float, dim: int) -> np.ndarray:
     ratio = -(1.0 - tau) / tau
     return ratio ** np.arange(dim) / (math.pi * tau)
-
-
-def quasiprob_from_rho(rho: np.ndarray, z: complex, tau: float) -> float:
-    """Smoothed density at z: quasiprob_grid's series on a 1 x 1 grid."""
-    z = complex(z)
-    return float(quasiprob_grid(rho, np.array([z.real]), np.array([z.imag]), tau)[0, 0])
 
 
 @lru_cache(maxsize=None)

@@ -11,12 +11,11 @@ at zero.  The raw (unclamped) profile is what crosses zero at the
 classicality transition.
 
 The smoothed density R(z, tau) is evaluated term by term on an array of
-points (``r_function_grid``; ``r_function`` is its one-point case).  The
-grid scans that check the closed forms numerically share one sign test:
-a point is negative where R falls below RELATIVE_NEGATIVITY_THRESHOLD
-times the sum of its terms' moduli, so a large cat's fringes count
-however small they are.  The depth scan bisects tau at fixed t, the onset
-scan t at tau = 0.
+points (``r_function_grid``).  The grid scans that check the closed forms
+numerically share one sign test: a point is negative where R falls below
+RELATIVE_NEGATIVITY_THRESHOLD times the sum of its terms' moduli, so a
+large cat's fringes count however small they are.  The depth scan bisects
+tau at fixed t, the onset scan t at tau = 0.
 """
 from __future__ import annotations
 
@@ -334,13 +333,6 @@ def r_function_grid(
     z = np.asarray(z, dtype=complex)
     _, total = _smoothed_terms(state, res, t, tau, z.reshape(-1))
     return np.real(total).reshape(z.shape)
-
-
-def r_function(
-    state: StateSpec, res: ReservoirParams, t: float, tau: float, z: complex
-) -> float:
-    """Pointwise value of the tau-smoothed evolved weight at z."""
-    return float(r_function_grid(state, res, t, tau, np.asarray(z, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -142,15 +142,3 @@ Times = Union[float, np.ndarray, NoiseEnvelope]
 def noise_envelope(res: ReservoirParams, t: Times) -> NoiseEnvelope:
     """The envelope of res at t; t itself if it already is one (of res)."""
     return t if isinstance(t, NoiseEnvelope) else NoiseEnvelope(res, t)
-
-
-def nt(res: ReservoirParams, t: Times) -> FloatOrArray:
-    """Time-dependent thermal noise N_t = N (1 - e^{-2 Gamma t}); t is a
-    float or an array of times."""
-    return noise_envelope(res, t).n_t
-
-
-def mt(res: ReservoirParams, t: Times) -> FloatOrArray:
-    """Time-dependent squeezing noise M_t = M (1 - e^{-2 Gamma t}); t is a
-    float or an array of times."""
-    return noise_envelope(res, t).m_t

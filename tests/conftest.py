@@ -4,12 +4,11 @@ The expensive part of testing is the truncated-Fock RK4 integration, so
 the snapshot tables used by the equivalence and consistency checks are
 computed once per session and shared.
 
-Row-by-row truncation/step choices: the squeezed-coherent state carries
-the widest photon-number tail of the catalogue, so its rows need a
-taller ladder (dim 128) — and RK4's stability region shrinks as the
-ladder grows, which forces the smaller step.  The heated N=2 reservoir
-pushes late-time populations high enough that dim 64 truncation shows
-up above the 1e-6 relative tolerance; dim 80 clears it with margin.
+Row-by-row truncation choices: the squeezed-coherent state carries the
+widest photon-number tail of the catalogue, so its rows need a taller
+ladder (dim 128).  The heated N=2 reservoir pushes late-time populations
+high enough that dim 64 truncation shows up above the 1e-6 relative
+tolerance; dim 80 clears it with margin.  The oracle derives its own step.
 """
 from __future__ import annotations
 
@@ -53,13 +52,13 @@ STATES: dict[str, StateSpec] = {
 GAUSSIAN_KEYS = ("coherent", "thermal", "squeezed")
 
 
-def snapshot_params(state_key: str, res_key: str) -> tuple[int, float]:
-    """(dim, dt) for one (state, reservoir) trajectory."""
+def snapshot_dim(state_key: str, res_key: str) -> int:
+    """Truncation dimension for one (state, reservoir) trajectory."""
     if state_key == "squeezed":
-        return 128, 5e-4
+        return 128
     if res_key == "mixed":
-        return 80, 1e-3
-    return 64, 1e-3
+        return 80
+    return 64
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,9 @@ def oracle_snapshots() -> SnapshotSet:
     tables: dict[tuple[str, str], list[MomentTable]] = {}
     for skey, state in STATES.items():
         for rkey, res in RESERVOIRS.items():
-            dim, dt = snapshot_params(skey, rkey)
+            dim = snapshot_dim(skey, rkey)
             rho0 = fock_oracle.prepare(state, dim)
-            snaps = fock_oracle.evolve_recording(
-                rho0, res, [gt / res.gamma for gt in GT_GRID], dt
-            )
+            snaps = fock_oracle.evolve_recording(rho0, res, [gt / res.gamma for gt in GT_GRID])
             tables[(skey, rkey)] = [fock_oracle.moments_from_rho(r) for r in snaps]
     return SnapshotSet(tables=tables, elapsed=time.perf_counter() - t0)
 

@@ -22,8 +22,7 @@ from sqbath import (
     evolved_state_moments,
     initial_moments,
     mandel_q,
-    mt,
-    nt,
+    noise_envelope,
     quadrature_variances,
 )
 from sqbath import fock_oracle
@@ -58,7 +57,8 @@ def test_smoothing_fields():
     # a bare delta shows the reservoir's action alone: the contraction
     # e^{-Gamma t} and the added coefficients (N_t +- M_t)/4
     (term,) = evolved_descriptor(Coherent(1.0), R_SAT, 0.4)
-    n_t, m_t = nt(R_SAT, 0.4), mt(R_SAT, 0.4)
+    env = noise_envelope(R_SAT, 0.4)
+    n_t, m_t = env.n_t, env.m_t
     assert term.center == pytest.approx(math.exp(-0.4), abs=1e-15)
     assert term.c_r == pytest.approx((n_t + m_t) / 4.0, abs=1e-15)
     assert term.c_i == pytest.approx((n_t - m_t) / 4.0, abs=1e-15)
@@ -74,9 +74,10 @@ def test_first_and_second_moment_laws(res, gt):
     t = gt / res.gamma
     m = evolve_moments(m0, res, t)
     k = math.exp(-res.gamma * t)
+    env = noise_envelope(res, t)
     assert m.mean_a == pytest.approx(m0.mean_a * k, abs=1e-13)
-    assert m.mean_a2 == pytest.approx(m0.mean_a2 * k * k + mt(res, t), abs=1e-13)
-    assert m.mean_n == pytest.approx(m0.mean_n * k * k + nt(res, t), abs=1e-13)
+    assert m.mean_a2 == pytest.approx(m0.mean_a2 * k * k + env.m_t, abs=1e-13)
+    assert m.mean_n == pytest.approx(m0.mean_n * k * k + env.n_t, abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -141,13 +142,10 @@ def test_thermal_descriptor_evolution():
     desc = evolved_descriptor(Thermal(nb), R_MIX, gt)
     (term,) = desc
     u = math.exp(-2.0 * gt)
+    env = noise_envelope(R_MIX, gt)
     assert term.center == 0.0
-    assert term.c_r == pytest.approx(
-        (nb * u + nt(R_MIX, gt) + mt(R_MIX, gt)) / 4.0, abs=1e-15
-    )
-    assert term.c_i == pytest.approx(
-        (nb * u + nt(R_MIX, gt) - mt(R_MIX, gt)) / 4.0, abs=1e-15
-    )
+    assert term.c_r == pytest.approx((nb * u + env.n_t + env.m_t) / 4.0, abs=1e-15)
+    assert term.c_i == pytest.approx((nb * u + env.n_t - env.m_t) / 4.0, abs=1e-15)
 
 
 def test_squeezed_descriptor_evolution():
@@ -156,9 +154,9 @@ def test_squeezed_descriptor_evolution():
     (term,) = evolved_descriptor(state, R_MIX, gt)
     u = math.exp(-2.0 * gt)
     assert term.center == pytest.approx(math.exp(-gt) * 1.0, abs=1e-15)
+    env = noise_envelope(R_MIX, gt)
     assert term.c_r == pytest.approx(
-        (nt(R_MIX, gt) + mt(R_MIX, gt)) / 4.0 + u * (1.0 - s) / (8.0 * s),
-        abs=1e-15,
+        (env.n_t + env.m_t) / 4.0 + u * (1.0 - s) / (8.0 * s), abs=1e-15
     )
 
 

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import eigs
 
 from sqbath import (
     Cat,
@@ -23,10 +25,12 @@ from sqbath import (
     steady_tau,
 )
 from sqbath.fock_oracle import (
+    RK4_STABLE_RADIUS,
     _disp_imag,
     _disp_real,
     _liouvillian,
     _pack,
+    _stable_step,
     _unpack,
     coherent_vector,
     evolve_recording,
@@ -34,7 +38,6 @@ from sqbath.fock_oracle import (
     lindblad_rhs,
     moments_from_rho,
     prepare,
-    quasiprob_from_rho,
     quasiprob_grid,
     steady_state,
 )
@@ -42,6 +45,7 @@ from sqbath.fock_oracle import (
 SQRT2 = math.sqrt(2.0)
 R_SAT = ReservoirParams(N=1.0, M=-SQRT2)
 R_MIX = ReservoirParams(N=2.0, M=1.0)
+R_TH = ReservoirParams(N=1.0, M=0.0)
 
 
 def _dense_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,15 +233,24 @@ def test_rhs_thermal_fixed_point():
     [
         (ReservoirParams(N=1.0, M=0.5), 64),
         (R_MIX, 128),
-        # the saturated reservoir's steady state is a pure squeezed vacuum
-        # whose far off-diagonal coherences decay slowest, so the residual
-        # needs the tallest ladder to clear the bound
         (R_SAT, 160),
     ],
 )
 def test_rhs_vanishes_on_steady_state(res, dim):
+    # steady_state solves L x = 0, so this residual checks the sparse solve
+    # and lindblad_rhs, not the fixed point itself; the squeezed-vacuum,
+    # moment and depth tests below check that
     rho = steady_state(res, dim)
     assert np.linalg.norm(lindblad_rhs(rho, res)) < 1e-8
+
+
+def test_saturated_steady_state_is_the_squeezed_vacuum():
+    # N = sinh^2 r and M = -sinh r cosh r make the fixed point the pure
+    # squeezed vacuum S(r) e_0 with sinh r = 1, prepared from the ladder
+    # exponential; squeezing the other axis (mu = -asinh 1) misses by 0.71
+    rho = steady_state(R_SAT, 128)
+    ref = prepare(SqueezedCoherent(0.0, math.asinh(1.0)), 128)
+    assert np.abs(rho - ref).max() <= 1e-10
 
 
 def test_steady_state_rejects_a_short_ladder():
@@ -313,6 +326,46 @@ def test_integrate_keeps_state_physical():
     assert abs(np.trace(rho).real - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("dim", [64, 128])
+@pytest.mark.parametrize("res", [R_SAT, R_MIX, R_TH, ReservoirParams(N=0.0, M=0.0)])
+def test_derived_step_is_inside_the_rk4_stability_region(dim, res):
+    # G, the largest absolute row sum, bounds |lambda| for every eigenvalue
+    # of L (Gershgorin), and RK4 is stable on the left half-disc of radius
+    # 2.61; the step RK4_STABLE_RADIUS / G puts the spectrum inside it
+    lv = _liouvillian(dim, res)
+    h = _stable_step(lv)
+    assert h * np.abs(lv).sum(axis=1).max() <= RK4_STABLE_RADIUS
+    if sp.tril(lv, -1).count_nonzero() == 0:
+        # pure damping only lowers both indices of rho, so L is triangular
+        # in the coordinates' order and its diagonal is its spectrum; ARPACK
+        # is slow and inaccurate on this strongly non-normal matrix
+        lam = lv.diagonal()[np.argmax(np.abs(lv.diagonal()))]
+    else:
+        (lam,) = eigs(lv, k=1, which="LM", return_eigenvectors=False)
+    z = h * lam
+    assert abs(z) <= 2.61 and z.real <= 1e-9 * abs(z)
+    assert abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) <= 1.0
+
+
+def test_default_step_is_the_derived_step():
+    rho0 = prepare(Coherent(1.0), 64)
+    h = _stable_step(_liouvillian(64, R_MIX))
+    times = [0.0, 0.1, 0.25]
+    derived = evolve_recording(rho0, R_MIX, times)
+    for got, ref in zip(derived, evolve_recording(rho0, R_MIX, times, h)):
+        assert np.array_equal(got, ref)
+
+
+def test_spans_take_the_fewest_steps_no_longer_than_dt():
+    # a span of 3.4 steps takes four equal steps, never three longer ones
+    rho0 = prepare(Coherent(0.5), 16)
+    t = 0.01
+    (four,) = evolve_recording(rho0, R_MIX, [t], t / 4.0)
+    assert np.array_equal(evolve_recording(rho0, R_MIX, [t], t / 3.4)[0], four)
+    (three,) = evolve_recording(rho0, R_MIX, [t], t / 3.0)
+    assert not np.array_equal(three, four)
+
+
 def test_step_halving_converges():
     rho0 = prepare(Thermal(1.0), 64)
     coarse = moments_from_rho(integrate(rho0, R_MIX, 1.0, dt=1e-3))
@@ -345,7 +398,7 @@ def _reference_recording(rho0, res, times, dt):
     for target in times:
         span = target - t_now
         if span > 0.0:
-            n_steps = max(1, round(span / dt))
+            n_steps = max(1, math.ceil(span / dt - 1e-9))
             h = span / n_steps
             for _ in range(n_steps):
                 k1 = rhs(rho)
@@ -429,10 +482,9 @@ def _q_direct(rho: np.ndarray, z: complex) -> float:
 
 def test_series_at_full_smoothing_is_husimi():
     rho = prepare(PhotonAddedCoherent(1.0), 64)
-    for z in (0.0, 0.6 + 0.2j, -1.0j, 1.5):
-        assert quasiprob_from_rho(rho, z, 1.0) == pytest.approx(
-            _q_direct(rho, z), abs=1e-12
-        )
+    for z in (0.0j, 0.6 + 0.2j, -1.0j, 1.5 + 0.0j):
+        point = quasiprob_grid(rho, np.array([z.real]), np.array([z.imag]), 1.0)
+        assert point[0, 0] == pytest.approx(_q_direct(rho, z), abs=1e-12)
 
 
 def test_series_convolution_identity():
@@ -464,8 +516,6 @@ def test_series_divergence_guard():
     rho = prepare(Thermal(1.0), 64)
     for tau in (0.5, 0.3, 1.2):
         with pytest.raises(SeriesDiverges):
-            quasiprob_from_rho(rho, 0.0, tau)
-        with pytest.raises(SeriesDiverges):
             quasiprob_grid(rho, np.zeros(1), np.zeros(1), tau)
 
 
@@ -495,4 +545,5 @@ def test_grid_series_matches_scalar_series():
             d = expm(z * ad - np.conj(z) * a)
             scalar = float(np.real(np.einsum("in,ij,jn->n", d.conj(), rho, d)) @ weights)
             assert grid[iy, ix] == pytest.approx(scalar, abs=1e-9)
-            assert quasiprob_from_rho(rho, z, tau) == grid[iy, ix]
+            point = quasiprob_grid(rho, xs[ix : ix + 1], ys[iy : iy + 1], tau)
+            assert point[0, 0] == grid[iy, ix]

@@ -9,8 +9,7 @@ from sqbath import (
     PhysicalReservoirSpec,
     ReservoirParams,
     from_physical,
-    mt,
-    nt,
+    noise_envelope,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -73,31 +72,31 @@ def test_theta_restricted_to_axis():
 
 def test_nt_closed_values():
     res = ReservoirParams(N=1.0, M=0.0)
-    assert nt(res, 0.0) == 0.0
-    assert nt(res, 0.5) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
-    assert nt(res, 400.0) == pytest.approx(1.0, abs=1e-15)
+    assert noise_envelope(res, 0.0).n_t == 0.0
+    assert noise_envelope(res, 0.5).n_t == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+    assert noise_envelope(res, 400.0).n_t == pytest.approx(1.0, abs=1e-15)
 
 
 def test_mt_sign_and_envelope():
     res = ReservoirParams(N=1.0, M=-SQRT2)
-    assert mt(res, 0.0) == 0.0
-    assert mt(res, 300.0) == pytest.approx(-SQRT2, abs=1e-14)
+    assert noise_envelope(res, 0.0).m_t == 0.0
+    assert noise_envelope(res, 300.0).m_t == pytest.approx(-SQRT2, abs=1e-14)
     for t in (0.01, 0.3, 1.0, 5.0):
-        assert abs(mt(res, t)) <= SQRT2
+        assert abs(noise_envelope(res, t).m_t) <= SQRT2
 
 
 def test_negative_time_rejected():
     res = ReservoirParams(N=1.0, M=0.0)
     with pytest.raises(ConfigError):
-        nt(res, -0.1)
-    with pytest.raises(ConfigError):
-        mt(res, -0.1)
+        noise_envelope(res, -0.1)
 
 
 def test_gamma_scales_time():
     fast = ReservoirParams(N=1.0, M=0.5, gamma=4.0)
     slow = ReservoirParams(N=1.0, M=0.5, gamma=1.0)
-    assert nt(fast, 0.25) == pytest.approx(nt(slow, 1.0), abs=1e-15)
+    assert noise_envelope(fast, 0.25).n_t == pytest.approx(
+        noise_envelope(slow, 1.0).n_t, abs=1e-15
+    )
 
 
 physical_specs = st.builds(
@@ -127,7 +126,8 @@ def test_noise_pair_shares_one_envelope(n, m_frac, t):
     m = m_frac * math.sqrt(n * (n + 1.0))
     res = ReservoirParams(N=n, M=m)
     env = -math.expm1(-2.0 * t)
-    assert nt(res, t) + mt(res, t) == pytest.approx((n + m) * env, abs=1e-12)
-    assert nt(res, t) - mt(res, t) == pytest.approx((n - m) * env, abs=1e-12)
+    pair = noise_envelope(res, t)
+    assert pair.n_t + pair.m_t == pytest.approx((n + m) * env, abs=1e-12)
+    assert pair.n_t - pair.m_t == pytest.approx((n - m) * env, abs=1e-12)
     if n > 1e-9 and t > 1e-9:
-        assert mt(res, t) / nt(res, t) == pytest.approx(m / n, rel=1e-9)
+        assert pair.m_t / pair.n_t == pytest.approx(m / n, rel=1e-9)

@@ -13,13 +13,15 @@ def test_oracle_convergence_script_runs():
         [sys.executable, script, "--gt", "0.1"], capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert "== step-size sweep (dim 64) ==" in done.stdout
-    assert "== dimension sweep (dt 1e-3) ==" in done.stdout
-    # every dimension row prints a deviation, not a rejection
-    rows = done.stdout.split("== dimension sweep (dt 1e-3) ==")[1].splitlines()[2:]
-    assert rows
-    for row in rows:
-        fields = row.split()  # dim, worst deviation, seconds
+    steps, dims = done.stdout.split("== dimension sweep (derived step) ==")
+    assert "== step sweep (dim 128) ==" in steps
+    # every row prints a deviation, not a rejection: the derived step, its
+    # half and its quarter, then each dimension at the derived step
+    step_rows = [row for row in steps.splitlines()[2:] if row]
+    dim_rows = dims.splitlines()[2:]
+    assert len(step_rows) == 3 and dim_rows
+    for row in step_rows + dim_rows:
+        fields = row.split()  # step or dim, worst deviation, seconds
         assert len(fields) == 3 and float(fields[1]) < 1e-6, row
 
 
