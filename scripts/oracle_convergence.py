@@ -4,8 +4,9 @@
 Shows how the worst moment deviation from the analytic layer changes as
 the integrator step is halved from the oracle's derived step, at dim 128
 where truncation sits below the step error, and as the truncation
-dimension grows at the derived step, for one scenario. Useful when
-picking dim for a new parameter regime.
+dimension grows at the derived step, for one scenario: the error that
+fock_oracle.evolve_truncated's choice of dim can be checked against in a
+new parameter regime.
 """
 import argparse
 import os

@@ -36,7 +36,7 @@ class UnresolvedDensity(SqbathError):
 
 
 class SeriesDiverges(SqbathError):
-    """The displaced-number series only converges for tau > 1/2."""
+    """The displaced-number series only converges for tau in [1/2, 1]."""
 
 
 class TruncationTooSmall(SqbathError):

@@ -2,13 +2,8 @@
 
 The expensive part of testing is the truncated-Fock RK4 integration, so
 the snapshot tables used by the equivalence and consistency checks are
-computed once per session and shared.
-
-Row-by-row truncation choices: the squeezed-coherent state carries the
-widest photon-number tail of the catalogue, so its rows need a taller
-ladder (dim 128).  The heated N=2 reservoir pushes late-time populations
-high enough that dim 64 truncation shows up above the 1e-6 relative
-tolerance; dim 80 clears it with margin.  The oracle derives its own step.
+computed once per session and shared.  The oracle picks each row's
+truncation dimension (fock_oracle.evolve_truncated) and its step.
 """
 from __future__ import annotations
 
@@ -52,20 +47,12 @@ STATES: dict[str, StateSpec] = {
 GAUSSIAN_KEYS = ("coherent", "thermal", "squeezed")
 
 
-def snapshot_dim(state_key: str, res_key: str) -> int:
-    """Truncation dimension for one (state, reservoir) trajectory."""
-    if state_key == "squeezed":
-        return 128
-    if res_key == "mixed":
-        return 80
-    return 64
-
-
 @dataclass(frozen=True)
 class SnapshotSet:
     """Oracle moment tables on GT_GRID for every catalogue scenario."""
 
     tables: dict[tuple[str, str], list[MomentTable]]
+    dims: dict[tuple[str, str], int]  # the truncation the oracle chose
     elapsed: float  # wall seconds spent integrating + extracting
 
 
@@ -73,13 +60,13 @@ class SnapshotSet:
 def oracle_snapshots() -> SnapshotSet:
     t0 = time.perf_counter()
     tables: dict[tuple[str, str], list[MomentTable]] = {}
+    dims: dict[tuple[str, str], int] = {}
     for skey, state in STATES.items():
         for rkey, res in RESERVOIRS.items():
-            dim = snapshot_dim(skey, rkey)
-            rho0 = fock_oracle.prepare(state, dim)
-            snaps = fock_oracle.evolve_recording(rho0, res, [gt / res.gamma for gt in GT_GRID])
+            times = [gt / res.gamma for gt in GT_GRID]
+            dims[(skey, rkey)], snaps = fock_oracle.evolve_truncated(state, res, times)
             tables[(skey, rkey)] = [fock_oracle.moments_from_rho(r) for r in snaps]
-    return SnapshotSet(tables=tables, elapsed=time.perf_counter() - t0)
+    return SnapshotSet(tables=tables, dims=dims, elapsed=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

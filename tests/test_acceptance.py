@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from math import comb, factorial, perm
 
 import numpy as np
@@ -190,7 +191,8 @@ def test_criterion_3_oracle_equivalence(oracle_snapshots):
         ok,
         f"{checked} comparisons over 18 scenarios x 21 times: worst "
         f"|Δ|/tol {worst:.3f} at {where} (tol max(1e-6 rel, 1e-9 abs)); "
-        f"oracle wall {oracle_snapshots.elapsed:.1f} s (<120 s)",
+        f"oracle wall {oracle_snapshots.elapsed:.1f} s (<120 s), dims "
+        + " ".join(f"{d}x{n}" for d, n in sorted(Counter(oracle_snapshots.dims.values()).items())),
     )
 
 

@@ -297,54 +297,73 @@ def test_validate_passes_on_reference_scenario(tmp_path, capsys):
         "time_grid": {"start": 0.0, "stop": 0.3, "step": 0.1},
     }
     cfg = write_config(tmp_path, doc)
-    assert main(["validate", "--config", cfg, "--oracle", "--dim", "32"]) == 0
+    assert main(["validate", "--config", cfg]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("oracle dim=64 top_tenth_max=")
     assert out.strip().endswith("PASS")
     assert "mean_a" in out and "var_y" in out
     assert "FAIL" not in out
 
 
-def test_validate_derives_a_stable_step_on_a_tall_ladder(tmp_path, capsys):
-    # RK4's stability limit shrinks as the ladder grows; the step derived
-    # from the Liouvillian keeps the trace monitor quiet at dim 128, where
-    # a step of 1e-3/Γ drifts past its bound within Γt 0.5
+def test_validate_picks_a_dim_that_passes(tmp_path, capsys):
+    # at dim 64 the heated tail misses the 1e-6 gate by up to 1.7x on
+    # mean_a, mean_a2, mandel_q and var_y; the oracle's rule takes dim 80
     doc = {
-        "state": {"kind": "coherent", "gamma": 1.0},
+        "state": {"kind": "photon_added_coherent", "gamma": 1.0},
         "reservoir": {"N": 2.0, "M": 1.0},
-        "time_grid": {"start": 0.0, "stop": 0.5, "step": 0.1},
-        "oracle": {"enabled": True, "dim": 128},
+        "time_grid": {"start": 0.0, "stop": 2.0, "step": 0.1},
+    }
+    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("oracle dim=80 top_tenth_max=")
+    assert float(lines[0].rpartition("=")[2]) < 1e-9
+    assert lines[-1] == "PASS"
+
+
+def test_validate_derives_a_stable_step_on_a_tall_ladder(tmp_path, capsys):
+    # the squeezed tail needs 128 levels, where RK4's stability limit is
+    # tighter; the step derived from the Liouvillian keeps the trace
+    # monitor quiet there
+    doc = {
+        "state": {"kind": "squeezed_coherent", "gamma": 1.0, "mu": 1.0},
+        "reservoir": {"N": 1.0, "M": 0.0},
+        "time_grid": {"start": 0.0, "stop": 1.0, "step": 0.1},
     }
     cfg = write_config(tmp_path, doc)
     assert main(["validate", "--config", cfg]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1] == "PASS", captured.err
-
-
-def test_validate_requires_oracle(tmp_path, capsys):
-    doc = dict(THERMAL_SCENARIO)
-    cfg = write_config(tmp_path, doc)
-    assert main(["validate", "--config", cfg]) == 2
-    assert "oracle" in capsys.readouterr().err
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("oracle dim=128 "), captured.err
+    assert lines[-1] == "PASS", captured.err
 
 
 def test_validate_surfaces_truncation_hint(tmp_path, capsys):
+    # too hot for every dim the oracle tries: prepare rejects each one
     doc = {
-        "state": {"kind": "thermal", "nbar": 4.0},
+        "state": {"kind": "thermal", "nbar": 50.0},
         "reservoir": {"N": 1.0, "M": 0.0},
         "time_grid": {"start": 0.0, "stop": 0.2, "step": 0.1},
-        "oracle": {"enabled": True, "dim": 8},
     }
     cfg = write_config(tmp_path, doc)
     assert main(["validate", "--config", cfg]) == 3
-    assert "dim >= 16" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "top 53 of 528 levels" in captured.err
+    assert "no dim up to 528 is tall enough; shorten the time grid" in captured.err
 
 
 VALID = {
     "state": {"kind": "coherent", "gamma": 1.0},
     "reservoir": {"N": 1.0, "M": 0.0},
     "time_grid": {"start": 0, "stop": 1, "step": 0.1},
-    "oracle": {"dim": 64},
 }
+
+
+def test_oracle_section_is_ignored():
+    # the oracle picks its own truncation, so an "oracle" section is an
+    # unknown key like any other
+    doc = {**VALID, "oracle": {"enabled": True, "dim": 1}}
+    assert parse_config(doc) == parse_config(VALID)
 # json.dumps writes these as the literals NaN, Infinity and -Infinity,
 # which json.load reads back
 NAN, INF = math.nan, math.inf
@@ -405,8 +424,11 @@ NAN, INF = math.nan, math.inf
             ("time_grid", "start"),
             ("time_grid", "stop"),
             ("time_grid", "step"),
-            ("oracle", "dim"),
         )
+        for value in (NAN, INF, -INF, OVERFLOW)
+    ]
+    + [
+        {**VALID, "reservoir": {"nbar0": 0.5, "r": 0.5, "theta": value}}
         for value in (NAN, INF, -INF, OVERFLOW)
     ]
     + [
@@ -425,10 +447,12 @@ NAN, INF = math.nan, math.inf
         {**VALID, "outputs": [["moments"]]},
         {**VALID, "outputs": "moments"},
         {**VALID, "outputs": []},
-        {**VALID, "oracle": {"dim": 1}},
-        {**VALID, "oracle": {"dim": 64.0}},
-        {**VALID, "oracle": {"enabled": 1}},
-        {**VALID, "oracle": []},
+        # a section that is no object, a bool or a string where a number
+        # goes, and a complex number of three parts
+        {**VALID, "time_grid": []},
+        {**VALID, "reservoir": {"N": True, "M": 0.0}},
+        {**VALID, "time_grid": {"start": 0, "stop": "1", "step": 0.1}},
+        {**VALID, "state": {"kind": "coherent", "gamma": [1.0, 0.0, 0.0]}},
         [VALID],
     ],
 )
@@ -551,6 +575,10 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_rejects_bad_flag_values(tmp_path, capsys):
+    # validate takes no truncation flags: the oracle picks its own dim
     cfg = write_config(tmp_path, dict(THERMAL_SCENARIO))
-    assert main(["validate", "--config", cfg, "--oracle", "--dim", "1"]) == 2
-    capsys.readouterr()
+    for flags in (["--dim", "64"], ["--oracle"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", cfg, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -26,6 +26,8 @@ from sqbath import (
 )
 from sqbath.fock_oracle import (
     RK4_STABLE_RADIUS,
+    TRAJECTORY_BUDGET,
+    TRUNCATION_DIMS,
     _disp_imag,
     _disp_real,
     _liouvillian,
@@ -34,12 +36,14 @@ from sqbath.fock_oracle import (
     _unpack,
     coherent_vector,
     evolve_recording,
+    evolve_truncated,
     integrate,
     lindblad_rhs,
     moments_from_rho,
     prepare,
     quasiprob_grid,
     steady_state,
+    top_tenth_population,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -470,6 +474,32 @@ def test_evolve_recording_snapshots():
 
 
 # ---------------------------------------------------------------------------
+# the oracle's own truncation
+
+GT_0_2 = np.round(0.1 * np.arange(21), 10)  # Γt 0, 0.1, ..., 2 (gamma = 1)
+
+
+def test_truncation_dims_grow_by_a_fifth_in_steps_of_16():
+    assert TRUNCATION_DIMS[:7] == (64, 80, 96, 128, 160, 192, 240)
+    for low, high in zip(TRUNCATION_DIMS, TRUNCATION_DIMS[1:]):
+        assert high == 16 * math.ceil(1.2 * low / 16)
+
+
+def test_truncation_takes_the_first_dim_that_holds_the_trajectory():
+    # dim 64 passes prepare, but under N = 2, M = 1 its top tenth fills
+    # past the budget before Γt = 2; dim 80 holds the whole trajectory
+    state = Thermal(1.0)
+    low = evolve_recording(prepare(state, 64), R_MIX, GT_0_2)
+    assert max(map(top_tenth_population, low)) >= TRAJECTORY_BUDGET
+    dim, snaps = evolve_truncated(state, R_MIX, GT_0_2)
+    assert dim == 80
+    assert max(map(top_tenth_population, snaps)) < TRAJECTORY_BUDGET
+    # the snapshots are evolve_recording's at that dim, to the bit
+    for got, ref in zip(snaps, evolve_recording(prepare(state, 80), R_MIX, GT_0_2), strict=True):
+        assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
 # smoothed quasiprobability series
 
 
@@ -514,7 +544,7 @@ def test_series_positive_for_classical_state():
 
 def test_series_divergence_guard():
     rho = prepare(Thermal(1.0), 64)
-    for tau in (0.5, 0.3, 1.2):
+    for tau in (0.49, 0.3, 1.2):
         with pytest.raises(SeriesDiverges):
             quasiprob_grid(rho, np.zeros(1), np.zeros(1), tau)
 
