@@ -17,7 +17,11 @@ Kronecker products of ladder matrices, vec(X rho Y) = (X kron Y^T) vec(rho).
 With M real it is real, and rho = S + iA (S real symmetric, A real
 antisymmetric) evolves as dim^2 real Hermitian coordinates, S's upper
 triangle and A's strict upper one: one real sparse product per RK4 stage,
-and snapshots that are Hermitian by construction. The default step is
+and snapshots that are Hermitian by construction. L is block diagonal in
+these coordinates, S against A times the parity of m + n for entry
+(m, n), and a block that is exactly zero at t = 0 stays so: only the
+blocks the initial state occupies are stepped (a real state occupies at
+most two of the four), with the same bits as stepping all. The default step is
 taken from the superoperator itself, inside RK4's stability region at
 every dim (see RK4_STABLE_RADIUS). The trace is only monitored, never
 renormalized. The steady state is the null vector of the same
@@ -35,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from .errors import (
@@ -235,14 +240,20 @@ def _folded_dissipators(dim: int) -> list[sp.csr_matrix]:
 
 
 @lru_cache(maxsize=None)
-def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_folded_dissipators on one shared sparsity pattern, as
-    (indptr, indices, values); row p of values is part p.
+    (indptr, indices, values, blocks); row p of values is part p.
 
     The pattern is the union of the parts' nonzeros (about nine entries
     per row) and does not depend on the reservoir: where N or M is zero
     the zeros stay stored, so one RK4 step costs the same for every
     reservoir of a given dim.
+
+    blocks labels each coordinate by its weakly connected component in the
+    pattern: the invariant blocks of L. Every term moves an entry (m, n)
+    of rho by (+-1, +-1), (+-2, 0) or (0, +-2), or leaves it in place, so
+    the parity of m + n is kept, as is S against A: four blocks at every
+    dim, and rho's diagonal lies in the even half of S.
     """
     size = dim * dim
     # the Kronecker temporaries are freed on return, before the union
@@ -255,16 +266,17 @@ def _dissipator_parts(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values = np.zeros((len(parts), union.nnz))
     for p, f in enumerate(parts):
         values[p, np.searchsorted(where, f.row.astype(np.int64) * size + f.col)] = f.data
-    for arr in (union.indptr, union.indices, values):
+    _, blocks = connected_components(union, directed=True, connection="weak")
+    for arr in (union.indptr, union.indices, values, blocks):
         arr.setflags(write=False)
-    return union.indptr, union.indices, values
+    return union.indptr, union.indices, values, blocks
 
 
 def _liouvillian(dim: int, res: ReservoirParams) -> sp.csr_matrix:
     """The master equation as one real superoperator on the Hermitian
     coordinates of rho, Gamma [(N+1) L_1 + N L_2 - M L_M] on
     _dissipator_parts' pattern."""
-    indptr, indices, values = _dissipator_parts(dim)
+    indptr, indices, values, _ = _dissipator_parts(dim)
     coef = res.gamma * np.array([res.N + 1.0, res.N, -res.M])
     size = dim * dim
     return sp.csr_matrix((coef @ values, indices, indptr), shape=(size, size))
@@ -354,7 +366,9 @@ def evolve_recording(
 
     rho0 must be Hermitian to HERMITIAN_TOL of its largest entry; it is
     read from its upper triangle into Hermitian coordinates once, and a
-    complex snapshot is written back from them at each time.
+    complex snapshot is written back from them at each time. Only the
+    invariant blocks of L that rho0 occupies are stepped (see _trajectory);
+    the others stay exactly zero.
     """
     if dt is not None and not (dt > 0.0):
         raise ConfigError(f"dt must be > 0, got {dt}")
@@ -366,16 +380,28 @@ def evolve_recording(
 
 def _trajectory(rho0: np.ndarray, res: ReservoirParams, times, dt) -> Iterator[np.ndarray]:
     """evolve_recording's integration, yielding the Hermitian coordinates
-    at each time (one array, advanced in place) so that a caller may stop."""
+    at each time (one array, rewritten in place) so that a caller may stop.
+
+    The step comes from the whole L, but only the invariant blocks of L
+    (see _dissipator_parts) in which rho0 has a nonzero coordinate are
+    stepped, and the others are yielded as +0.0. Each kept row of L holds
+    the same entries in the same order as in the whole L, so the kept
+    coordinates take the same bits as when every coordinate is stepped.
+    """
     dim = rho0.shape[0]
-    x = _pack(rho0)
+    x0 = _pack(rho0)
     s_rows, s_cols, _, _ = _triangles(dim)
     diagonal = np.flatnonzero(s_rows == s_cols)
-    _check_trace(x[diagonal].sum())
+    _check_trace(x0[diagonal].sum())
     lv = _liouvillian(dim, res)
     if dt is None:
         dt = _stable_step(lv)
-    acc, stage = np.empty_like(x), np.empty_like(x)
+    blocks = _dissipator_parts(dim)[3]
+    keep = np.flatnonzero(np.isin(blocks, blocks[x0 != 0.0]))
+    lv, xk = lv[keep][:, keep], x0[keep]
+    on_diagonal = np.isin(keep, diagonal)
+    x = np.zeros_like(x0)
+    acc, stage = np.empty_like(xk), np.empty_like(xk)
     t_now = 0.0
     for target in times:
         if target < t_now - 1e-12:
@@ -386,9 +412,10 @@ def _trajectory(rho0: np.ndarray, res: ReservoirParams, times, dt) -> Iterator[n
             n_steps = max(1, math.ceil(span / dt - 1e-9))
             h = span / n_steps
             for _ in range(n_steps):
-                _rk4_step(lv, x, h, acc, stage)
-                _check_trace(x[diagonal].sum())
+                _rk4_step(lv, xk, h, acc, stage)
+                _check_trace(xk[on_diagonal].sum())
         t_now = target
+        x[keep] = xk
         yield x
 
 
@@ -485,18 +512,18 @@ def displaced_populations(rho: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np
 
     Uses D(x + iy) = e^{-i x y} D(iy) D(x); the phase cancels under
     conjugation.  Each D(x) and D(iy) is built once per call from the
-    cached eigenbasis of adag + a, so each grid point costs one matrix
-    product.
+    cached eigenbasis of adag + a.  D(x) is real, so a row of the grid
+    needs only the real part of D(iy)^dag rho D(iy), and each grid point
+    costs one real matrix product.
     """
     dim = rho.shape[0]
     out = np.empty((len(ys), len(xs), dim))
     dxs = [_disp_real(dim, float(x)) for x in xs]
     for iy, y in enumerate(ys):
         dy = _disp_imag(dim, float(y))
-        rho_y = dy.conj().T @ rho @ dy
+        rho_y = np.ascontiguousarray((dy.conj().T @ rho @ dy).real)
         for ix, dx in enumerate(dxs):
-            b = rho_y @ dx
-            out[iy, ix] = np.real(np.einsum("in,in->n", dx.conj(), b))
+            out[iy, ix] = np.einsum("in,in->n", dx, rho_y @ dx)
     return out
 
 

@@ -30,11 +30,15 @@ from sqbath.fock_oracle import (
     TRUNCATION_DIMS,
     _disp_imag,
     _disp_real,
+    _dissipator_parts,
     _liouvillian,
     _pack,
+    _rk4_step,
     _stable_step,
+    _triangles,
     _unpack,
     coherent_vector,
+    displaced_populations,
     evolve_recording,
     evolve_truncated,
     integrate,
@@ -474,6 +478,75 @@ def test_evolve_recording_snapshots():
 
 
 # ---------------------------------------------------------------------------
+# invariant blocks
+
+
+def _occupied_blocks(rho: np.ndarray) -> np.ndarray:
+    blocks = _dissipator_parts(rho.shape[0])[3]
+    return np.unique(blocks[_pack(rho) != 0.0])
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_blocks_are_s_and_a_times_the_parity_of_m_plus_n(dim):
+    blocks = _dissipator_parts(dim)[3]
+    s_rows, s_cols, a_rows, a_cols = _triangles(dim)
+    # 0, 1: S with m + n even, odd; 2, 3: A with m + n even, odd
+    expected = np.r_[(s_rows + s_cols) % 2, 2 + (a_rows + a_cols) % 2]
+    assert np.unique(blocks).size == 4
+    # the two labellings make the same partition
+    pairs = np.unique(np.c_[blocks, expected], axis=0)
+    assert len(pairs) == 4 and np.unique(pairs[:, 1]).size == 4
+    if dim == 16:
+        assert sorted(np.bincount(blocks)) == [56, 64, 64, 72]
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_rows_of_l_reach_only_their_own_block(dim):
+    indptr, indices, _, blocks = _dissipator_parts(dim)
+    assert np.array_equal(np.repeat(blocks, np.diff(indptr)), blocks[indices])
+
+
+@pytest.mark.parametrize("res", [R_MIX, R_TH], ids=["mixed", "M0"])
+@pytest.mark.parametrize(
+    "state, n_blocks",
+    [
+        (Coherent(0.7 - 0.4j), 4),
+        (Thermal(1.0), 1),
+        (PhotonAddedCoherent(1.0), 2),
+        (Cat(1j, 0.0), 1),
+    ],
+    ids=["coherent", "thermal", "added_coherent", "cat"],
+)
+def test_invariant_blocks_step_to_the_bits_of_the_whole(res, state, n_blocks):
+    dim, times = 48, [0.05, 0.05, 0.15]
+    rho0 = prepare(state, dim)
+    assert _occupied_blocks(rho0).size == n_blocks
+    # every coordinate stepped with the whole L, as evolve_recording did
+    # before it kept only the occupied blocks
+    lv = _liouvillian(dim, res)
+    h_max = _stable_step(lv)
+    x, t_now, ref = _pack(rho0), 0.0, []
+    acc, stage = np.empty_like(x), np.empty_like(x)
+    for target in times:
+        if target > t_now:
+            n_steps = max(1, math.ceil((target - t_now) / h_max - 1e-9))
+            for _ in range(n_steps):
+                _rk4_step(lv, x, (target - t_now) / n_steps, acc, stage)
+        t_now = target
+        ref.append(_unpack(x, dim))
+    for got, want in zip(evolve_recording(rho0, res, times), ref, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_blocks_are_chosen_from_exact_zeros():
+    # an odd cat occupies S's even block alone, but complex(cos pi, sin pi)
+    # leaves 1.2e-16j in its phase, so the prepared state reaches all four
+    # blocks, and all four are stepped: there is no threshold
+    assert _occupied_blocks(prepare(Cat(1.0, math.pi), 64)).size == 4
+    assert _occupied_blocks(prepare(Cat(1.0, 0.0), 64)).size == 1
+
+
+# ---------------------------------------------------------------------------
 # the oracle's own truncation
 
 GT_0_2 = np.round(0.1 * np.arange(21), 10)  # Γt 0, 0.1, ..., 2 (gamma = 1)
@@ -547,6 +620,24 @@ def test_series_divergence_guard():
     for tau in (0.49, 0.3, 1.2):
         with pytest.raises(SeriesDiverges):
             quasiprob_grid(rho, np.zeros(1), np.zeros(1), tau)
+
+
+def test_displaced_populations_match_the_complex_formula():
+    # the real-part shortcut against <n| D(x)^dag D(iy)^dag rho D(iy) D(x) |n>
+    # in complex arithmetic, on a Hermitian rho that is not real
+    dim = 40
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    xs, ys = np.array([-1.3, 0.0, 0.4]), np.array([-0.9, 0.6])
+    got = displaced_populations(rho, xs, ys)
+    for iy, y in enumerate(ys):
+        dy = _disp_imag(dim, y)
+        for ix, x in enumerate(xs):
+            dx = _disp_real(dim, x).astype(complex)
+            want = np.real(np.einsum("in,in->n", dx.conj(), dy.conj().T @ rho @ dy @ dx))
+            assert np.abs(got[iy, ix] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("dim", [16, 64, 128])
